@@ -1,8 +1,13 @@
 # Development entry points. CI runs the same commands (see
 # .github/workflows/ci.yml); bench-baseline records the performance
-# trajectory of the hot paths as a BENCH_<date>.json file in-tree.
+# trajectory of the hot paths as a BENCH_<date>.txt file in-tree.
 
 GO ?= go
+
+# The engine microbenchmarks: every benchmark in bench_test.go except
+# the BenchmarkE<n> experiment runs (scripts/bench_gate.sh runs the same
+# set).
+MICROBENCH = ^Benchmark([^E]|E[^0-9])
 
 .PHONY: build test race bench bench-smoke bench-baseline bench-gate profile profile-server fmt vet cover e2e docs-check
 
@@ -23,13 +28,15 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
-# Record the engine-microbenchmark baseline as BENCH_<date>.json.
+# Record the engine-microbenchmark baseline as BENCH_<date>.txt: five
+# samples per benchmark in standard `go test -bench` output.
 bench-baseline:
-	$(GO) run ./cmd/benchjson
+	$(GO) test -run '^$$' -bench '$(MICROBENCH)' -count 5 . > BENCH_$$(date -u +%Y-%m-%d).txt
 
-# Regression gate: hold the gated hot path (CobraStepExpander) to
-# within 15% of the newest committed BENCH_<date>.json. CI runs this;
-# BENCHTIME=2s tightens the measurement locally.
+# Regression gate: hold the gated medians (CobraStepExpander,
+# GraphResolveWarm) to within 15% of the newest committed
+# BENCH_<date>.txt. CI runs this; BENCHTIME=2s tightens the measurement
+# locally.
 bench-gate:
 	./scripts/bench_gate.sh
 
@@ -37,9 +44,9 @@ bench-gate:
 # `go tool pprof`, keeping the remaining per-round kernel cost
 # attributable.
 profile:
-	$(GO) run ./cmd/benchjson -benchtime 500ms -out /dev/null \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "wrote cpu.pprof and mem.pprof — inspect with: go tool pprof cpu.pprof"
+	$(GO) test -run '^$$' -bench '$(MICROBENCH)' -benchtime 500ms \
+		-cpuprofile cpu.pprof -memprofile mem.pprof .
+	@echo "wrote cpu.pprof and mem.pprof — inspect with: go tool pprof repro.test cpu.pprof"
 
 # Profile a live daemon: cobrad with the pprof side listener up, ready
 # for `go tool pprof http://127.0.0.1:6060/debug/pprof/profile`.

@@ -76,8 +76,10 @@ func BenchmarkE20FaultTolerance(b *testing.B) { benchExperiment(b, "E20") }
 
 // --- engine microbenchmarks -------------------------------------------------
 //
-// KEEP IN SYNC with cmd/benchjson, which re-runs these workloads (same
-// graphs, seeds, configs, warmups) to record BENCH_<date>.json baselines.
+// Every benchmark below is in the regression gate's set: make
+// bench-baseline records their `go test -bench` output as a
+// BENCH_<date>.txt baseline, and scripts/bench_gate.sh holds fresh runs
+// to it.
 
 // BenchmarkCobraStepExpander measures one cobra round at steady state on
 // a 10k-vertex expander: the per-round cost Theorem 8's wall-clock
@@ -138,28 +140,10 @@ func BenchmarkCobraStepPowerLaw(b *testing.B) {
 	b.ReportMetric(float64(w.ActiveCount()), "active")
 }
 
-// BenchmarkCobraStepPowerLawAlias is BenchmarkCobraStepPowerLaw with
-// draws routed through the Walker alias table (Config.UseAlias): kept
-// in the gated set so the opt-in sampler's cost stays measured against
-// the default.
-func BenchmarkCobraStepPowerLawAlias(b *testing.B) {
-	g := PowerLaw(10000, 2.5, 2, 40, 7)
-	w := NewCobraWalk(g, CobraConfig{K: 2, UseAlias: true}, NewRand(1))
-	w.Reset(0)
-	for i := 0; i < 60; i++ {
-		w.Step()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step()
-	}
-	b.ReportMetric(float64(w.ActiveCount()), "active")
-}
-
 // BenchmarkCobraStepPowerLawSparse is BenchmarkCobraStepPowerLaw pinned
 // to the sparse list kernel — the pre-dense, per-vertex modulo path
-// irregular graphs used to take. The dense samplers are measured
-// against this.
+// irregular graphs used to take. The dense sampler is measured against
+// this.
 func BenchmarkCobraStepPowerLawSparse(b *testing.B) {
 	g := PowerLaw(10000, 2.5, 2, 40, 7)
 	w := NewCobraWalk(g, CobraConfig{K: 2, DenseTheta: -1}, NewRand(1))
@@ -188,8 +172,26 @@ func BenchmarkCobraCoverGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkCobraCoverExpander measures a full cover run on the
+// 10k-vertex expander, the wall-clock form of Theorem 8's bound.
+func BenchmarkCobraCoverExpander(b *testing.B) {
+	g, err := RandomRegular(10000, 5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := NewCobraWalk(g, CobraConfig{K: 2}, NewTrialRand(3, i))
+		w.Reset(0)
+		if _, ok := w.RunUntilCovered(); !ok {
+			b.Fatal("cover failed")
+		}
+	}
+}
+
 // BenchmarkWaltStep measures one Walt round with n/2 pebbles on an
-// expander, the Theorem 8 proof configuration.
+// expander, the Theorem 8 proof configuration, with the default kernel
+// switch (the count-based dense kernel runs above the cutoff).
 func BenchmarkWaltStep(b *testing.B) {
 	g, err := RandomRegular(10000, 5, 2)
 	if err != nil {
@@ -205,15 +207,16 @@ func BenchmarkWaltStep(b *testing.B) {
 	}
 }
 
-// BenchmarkWaltStepDense measures one non-lazy Walt round with the
-// count-based dense kernel forced on every round (θ >= n): the pure
-// dense round cost, without lazy-coin skips diluting the average.
-func BenchmarkWaltStepDense(b *testing.B) {
+// BenchmarkWaltStepSparse is BenchmarkWaltStep pinned to the sparse
+// per-pebble kernel (DenseTheta < 0). The two form a matched pair at the
+// Theorem 8 configuration: same graph, pebbles, laziness and seed, so
+// their ratio is what the dense kernel earns.
+func BenchmarkWaltStepSparse(b *testing.B) {
 	g, err := RandomRegular(10000, 5, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewWaltAtVertex(g, 5000, 0, WaltConfig{DenseTheta: 10000}, NewRand(1))
+	p := NewWaltAtVertex(g, 5000, 0, WaltConfig{Lazy: true, DenseTheta: -1}, NewRand(1))
 	for i := 0; i < 60; i++ {
 		p.Step()
 	}
@@ -223,10 +226,9 @@ func BenchmarkWaltStepDense(b *testing.B) {
 	}
 }
 
-// BenchmarkCobraCoverNoActiveList measures a full expander cover in the
-// default bitset-resident frontier mode (no per-round active-list
-// materialization); BenchmarkCobraCoverEagerFrontier is the same cover
-// with EagerFrontier set, pinning the cost the default mode avoids.
+// BenchmarkCobraCoverNoActiveList measures a full expander cover on its
+// own trial streams: dense rounds keep the frontier bitset-resident and
+// never materialize the active list.
 func BenchmarkCobraCoverNoActiveList(b *testing.B) {
 	g, err := RandomRegular(10000, 5, 1)
 	if err != nil {
@@ -235,22 +237,6 @@ func BenchmarkCobraCoverNoActiveList(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := NewCobraWalk(g, CobraConfig{K: 2}, NewTrialRand(4, i))
-		w.Reset(0)
-		if _, ok := w.RunUntilCovered(); !ok {
-			b.Fatal("cover failed")
-		}
-	}
-}
-
-// BenchmarkCobraCoverEagerFrontier: see BenchmarkCobraCoverNoActiveList.
-func BenchmarkCobraCoverEagerFrontier(b *testing.B) {
-	g, err := RandomRegular(10000, 5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := NewCobraWalk(g, CobraConfig{K: 2, EagerFrontier: true}, NewTrialRand(4, i))
 		w.Reset(0)
 		if _, ok := w.RunUntilCovered(); !ok {
 			b.Fatal("cover failed")

@@ -70,10 +70,14 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("client: base URL %q must be http or https", baseURL)
 	}
-	return &Client{
+	c := &Client{
 		base: strings.TrimRight(u.String(), "/"),
 		hc:   &http.Client{},
-	}, nil
+	}
+	for _, opt := range opts {
+		opt(c)
+	}
+	return c, nil
 }
 
 // do issues one JSON request and decodes the response into out (when
@@ -187,8 +191,8 @@ func (c *Client) Journal(ctx context.Context) ([]cluster.JournalEntry, error) {
 	return out.Entries, nil
 }
 
-// Submit submits one job of the given kind ("process", "covertime",
-// "cobra", "experiment", "sweep"). spec may be any JSON-marshalable
+// Submit submits one job of the given kind ("process", "experiment",
+// "sweep"). spec may be any JSON-marshalable
 // value shaped like the corresponding engine spec — typically
 // *engine.ProcessSpec. Higher priority runs first.
 func (c *Client) Submit(ctx context.Context, kind string, spec any, priority int) (engine.Status, error) {

@@ -3,8 +3,9 @@ package client
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +36,49 @@ func TestNewRejectsBadURL(t *testing.T) {
 		if _, err := New(bad); err == nil {
 			t.Errorf("New(%q) unexpectedly succeeded", bad)
 		}
+	}
+}
+
+// countingTransport counts the requests it carries.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestWithHTTPClientCarriesRequests pins that New applies its options:
+// every request, the SSE follow included, must ride the supplied
+// client's transport.
+func TestWithHTTPClientCarriesRequests(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	ts := httptest.NewServer(service.New(eng).Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = eng.Shutdown(ctx)
+	}()
+	rt := &countingTransport{}
+	c, err := New(ts.URL, WithHTTPClient(&http.Client{Transport: rt}))
+	if err != nil {
+		t.Fatalf("new client: %v", err)
+	}
+	ctx := context.Background()
+	if _, err := c.Health(ctx); err != nil {
+		t.Fatalf("health: %v", err)
+	}
+	if got := rt.n.Load(); got != 1 {
+		t.Fatalf("supplied transport carried %d requests after one call, want 1", got)
+	}
+	if _, _, err := c.Run(ctx, "process", engine.ProcessSpec{
+		Process: "cobra", Graph: "cycle:8", Trials: 2, Seed: 1,
+		Params: process.Params{"k": 2.0},
+	}, nil); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := rt.n.Load(); got < 3 {
+		t.Fatalf("supplied transport carried %d requests after submit/follow/result, want >= 3", got)
 	}
 }
 
@@ -74,19 +118,6 @@ func TestSubmitFollowResultRoundTrip(t *testing.T) {
 	}
 	if len(updates) == 0 || !updates[len(updates)-1].State.Terminal() {
 		t.Errorf("status stream = %+v, want terminal last update", updates)
-	}
-
-	// The same spec through the deprecated covertime kind must produce
-	// identical values: the adapter and the generic path share one
-	// registered process.
-	legacy, _, err := c.Run(ctx, "covertime", map[string]any{
-		"graph": "grid:2,6", "k": 2, "trials": 4, "seed": 1,
-	}, nil)
-	if err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	if !reflect.DeepEqual(legacy.Values, out.Values) {
-		t.Errorf("legacy values %v != process values %v", legacy.Values, out.Values)
 	}
 }
 

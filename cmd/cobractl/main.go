@@ -309,7 +309,7 @@ func cmdJournal(ctx context.Context, server string, args []string) error {
 func cmdSubmit(ctx context.Context, server string, args []string) error {
 	fs, srv, asJSON := newFlagSet("submit", server)
 	var (
-		kind      = fs.String("kind", "process", "job kind: process|covertime|cobra|experiment|sweep")
+		kind      = fs.String("kind", "process", "job kind: process|experiment|sweep")
 		specJSON  = fs.String("spec", "", "raw spec JSON (@file reads a file, - reads stdin); overrides the convenience flags")
 		proc      = fs.String("process", "", "registered process name (kind=process)")
 		graph     = fs.String("graph", "", "graph spec, e.g. grid:2,33 (kind=process)")
@@ -371,7 +371,7 @@ func cmdSweep(ctx context.Context, server string, args []string) error {
 	fs, srv, asJSON := newFlagSet("sweep", server)
 	var (
 		specJSON  = fs.String("spec", "", "raw SweepSpec JSON (@file reads a file, - reads stdin); overrides the convenience flags")
-		child     = fs.String("child", "process", "child job kind: process|covertime|cobra|experiment")
+		child     = fs.String("child", "process", "child job kind: process|experiment")
 		processes = fs.String("processes", "", "comma-separated process names (child=process)")
 		family    = fs.String("family", "", "family sweep spec, e.g. grid:2 or cycle")
 		families  = fs.String("families", "", "comma-separated family sweep specs")

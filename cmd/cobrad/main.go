@@ -10,13 +10,13 @@
 //
 // Submit a cover-time job and poll it:
 //
-//	curl -s localhost:8080/v1/jobs -d '{"kind":"covertime","spec":{"graph":"grid:2,16","k":2,"trials":20,"seed":1}}'
+//	curl -s localhost:8080/v1/jobs -d '{"kind":"process","spec":{"process":"cobra","graph":"grid:2,16","params":{"k":2},"trials":20,"seed":1}}'
 //	curl -s localhost:8080/v1/jobs/j000001
 //	curl -s localhost:8080/v1/jobs/j000001/result
 //
 // Submit a server-side sweep and stream its progress:
 //
-//	curl -s localhost:8080/v1/sweeps -d '{"spec":{"child":"covertime","family":"grid:2","sizes":[8,16,32],"k":2,"trials":20,"seed":1}}'
+//	curl -s localhost:8080/v1/sweeps -d '{"spec":{"child":"process","process":"cobra","family":"grid:2","sizes":[8,16,32],"k":2,"trials":20,"seed":1}}'
 //	curl -sN localhost:8080/v1/jobs/j000001/events
 //
 // Observability: every observable job records a per-round series

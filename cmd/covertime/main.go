@@ -14,14 +14,15 @@
 // "regular:5" sweeps n with degree 5, "lollipop" sweeps n with
 // clique = path = n/2.
 //
-// The whole size list is submitted as ONE sweep job to the shared
-// internal/engine scheduler — the same execution core and fan-out path
-// behind cobrad's /v1/sweeps endpoint — which expands it server-side
-// into per-size point jobs with the historical seed discipline, so the
-// output is byte-identical to the old client-side loop. With -server
-// the identical sweep is submitted to a remote cobrad daemon through
-// the typed client SDK instead of the in-process engine; the spec,
-// seed discipline, and rendering are the same either way.
+// The whole size list is submitted as ONE sweep of the registered
+// "cobra" process to the shared internal/engine scheduler — the same
+// execution core and fan-out path behind cobrad's /v1/sweeps endpoint —
+// which expands it server-side into per-size point jobs with the
+// historical seed discipline, so the output is byte-identical to the old
+// client-side loop. With -server the identical sweep is submitted to a
+// remote cobrad daemon through the typed client SDK instead of the
+// in-process engine; the spec, seed discipline, and rendering are the
+// same either way.
 package main
 
 import (
@@ -54,12 +55,13 @@ func main() {
 	}
 
 	out, err := client.ExecuteSweep(context.Background(), *server, engine.SweepSpec{
-		Child:  "covertime",
-		Family: *family,
-		Sizes:  sizeList,
-		K:      *k,
-		Trials: *trials,
-		Seed:   *seed,
+		Child:   "process",
+		Process: "cobra",
+		Family:  *family,
+		Sizes:   sizeList,
+		K:       *k,
+		Trials:  *trials,
+		Seed:    *seed,
 	}, len(sizeList))
 	if err != nil {
 		fatal(err)

@@ -17,9 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/cluster/faulttransport"
 	"repro/internal/engine"
+	"repro/internal/process"
+	"repro/internal/rng"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -429,12 +432,28 @@ func TestHTTPClusterCancellationPropagates(t *testing.T) {
 	r1 := startRunner(t, coord.ts.URL, "runner-1", faulttransport.Config{Seed: 31})
 	r2 := startRunner(t, coord.ts.URL, "runner-2", faulttransport.Config{Seed: 32})
 
-	// A sweep big enough not to finish before the cancel lands.
 	spec := &engine.SweepSpec{
 		Child: "process", Process: "cobra", Family: "cycle",
 		Sizes: []int{64, 96, 128, 160, 192, 224, 256, 288, 320, 352, 384, 416},
 		K:     2, Trials: 20, Seed: 401,
 	}
+	// A ghost holds the first point's lease on the coordinator's store
+	// until the assertions are done, so neither copy of the sweep can
+	// finish before the cancel lands. The point is seeded as the sweep
+	// seeds it: graph stream 9000, trial stream 0.
+	graph, err := cli.FamilySpec(spec.Family, spec.Sizes[0])
+	if err != nil {
+		t.Fatalf("family spec: %v", err)
+	}
+	held := engine.Fingerprint(&engine.ProcessSpec{
+		Process: "cobra", Graph: graph, GraphSeed: rng.Stream(spec.Seed, 9000),
+		Params: process.Params{"k": 2.0}, Trials: spec.Trials, Seed: rng.Stream(spec.Seed, 0),
+	})
+	if _, ok, err := coord.st.AcquireLease(held, "ghost", time.Minute); err != nil || !ok {
+		t.Fatalf("ghost acquire = %v, %v", ok, err)
+	}
+	defer coord.st.ReleaseLease(held, "ghost")
+
 	job, err := r1.eng.Submit(spec, 0)
 	if err != nil {
 		t.Fatalf("submit sweep: %v", err)
@@ -466,6 +485,9 @@ func TestHTTPClusterCancellationPropagates(t *testing.T) {
 	defer cancel()
 	if _, err := job.Wait(ctx); err == nil {
 		t.Fatal("canceled sweep reported success on the owner")
+	}
+	if c := job.Children(); len(c) == 0 || c[0].Fingerprint() != held {
+		t.Fatalf("ghost-held lease %s is not the sweep's first point", held)
 	}
 	if _, err := adopted.Wait(ctx); err == nil {
 		t.Fatal("adopted copy of a canceled sweep reported success")

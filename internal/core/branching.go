@@ -76,8 +76,7 @@ type GeneralWalk struct {
 	blk      *rng.Block // buffered draws for the dense kernel
 	mark     []byte     // dense-round membership marks, all-zero between rounds
 
-	denseCut int  // run the dense kernel when len(active) > denseCut
-	useAlias bool // route irregular dense draws through the alias table
+	denseCut int // run the dense kernel when len(active) > denseCut
 	active   []int32
 	next     []int32
 	nextSet  *bitset.Set
@@ -120,12 +119,6 @@ func NewGeneral(g *graph.Graph, branch BranchingFunc, maxSteps int, rnd *rng.Sou
 // stepping; it does not retroactively affect rounds already executed.
 func (w *GeneralWalk) SetDenseTheta(theta int) {
 	w.denseCut = DenseCutoff(w.g.N(), theta)
-}
-
-// SetUseAlias opts irregular dense rounds into the graph's alias table
-// (see Config.UseAlias for the tradeoff). Call it before stepping.
-func (w *GeneralWalk) SetUseAlias(useAlias bool) {
-	w.useAlias = useAlias
 }
 
 // Reset restarts the walk with a single pebble at start.

@@ -41,26 +41,6 @@ type Config struct {
 	// order than sparse rounds, so runs that enter dense mode are
 	// distribution-equivalent, not byte-identical, to sparse-only runs.
 	DenseTheta int
-	// EagerFrontier restores the pre-bitset-only behavior of
-	// materializing the active-vertex list after every dense round. By
-	// default dense rounds skip that: the frontier stays bitset-resident
-	// across consecutive dense rounds and the list is materialized (in
-	// the same ascending order AppendTo would have produced) only when a
-	// sparse round or an accessor actually needs it, so callers that
-	// never read the list between steps — cover and hitting runs — save
-	// an O(|frontier|) decode and append per round. The two modes are
-	// draw-for-draw identical; the toggle exists for A/B benchmarking.
-	EagerFrontier bool
-	// UseAlias routes dense rounds on irregular graphs through the
-	// graph's Walker alias table (graph.AliasTable) instead of the
-	// default offset/fixed-point-multiply sampler. Both are O(1) per
-	// draw; measurement on 10k-vertex power-law graphs shows the
-	// multiply sampler ahead (the alias slot table is ~3x larger than
-	// the adjacency it replaces and costs an extra draw word per
-	// vertex), so the alias path is opt-in — see the kernel-selection
-	// notes in docs/ARCHITECTURE.md. Regular graphs never consult the
-	// alias table and ignore this field.
-	UseAlias bool
 }
 
 // DefaultMaxSteps returns the safety cap used when Config.MaxSteps is
@@ -95,8 +75,7 @@ type Walk struct {
 
 	// Bitset-only frontier state: after a dense round the frontier lives
 	// in activeSet with population nActive and the active list stays
-	// empty until a sparse round or an accessor materializes it (unless
-	// Config.EagerFrontier re-enables per-round materialization).
+	// empty until a sparse round or an accessor materializes it.
 	activeSet    *bitset.Set
 	activeIsBits bool
 	nActive      int
@@ -137,7 +116,7 @@ func New(g *graph.Graph, cfg Config, rnd *rng.Source) *Walk {
 	}
 	if w.denseCut < g.N() {
 		// Dense rounds are reachable: the frontier bitset is packed from
-		// the mark array every dense round (eager mode decodes it too).
+		// the mark array every dense round.
 		w.activeSet = bitset.New(g.N())
 	}
 	return w
@@ -223,9 +202,7 @@ func (w *Walk) MaxSteps() int { return w.cfg.MaxSteps }
 
 // AppendActive appends the current active vertices to dst and returns the
 // extended slice. While the frontier is bitset-resident (after a dense
-// round, unless Config.EagerFrontier) it is decoded in ascending vertex
-// order, which is also the order eager mode materializes dense frontiers
-// in.
+// round) it is decoded in ascending vertex order.
 func (w *Walk) AppendActive(dst []int32) []int32 {
 	if w.activeIsBits {
 		return w.activeSet.AppendTo(dst)
@@ -250,9 +227,8 @@ func (w *Walk) Step() {
 		return
 	}
 	if w.activeIsBits {
-		// Dense-to-sparse transition in bitset-only mode: materialize the
-		// list in ascending order — the order eager mode hands out — so
-		// the sparse draw sequence is unchanged.
+		// Dense-to-sparse transition: materialize the list in ascending
+		// vertex order.
 		w.active = w.activeSet.AppendTo(w.active[:0])
 		w.activeIsBits = false
 	}

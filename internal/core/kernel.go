@@ -18,8 +18,7 @@ package core
 //   - coverage is merged word-by-word with popcounts (bitset.UnionCount);
 //   - the frontier stays bitset-resident across consecutive dense rounds
 //     and is decoded to a vertex list only when a sparse round or an
-//     accessor needs one (Config.EagerFrontier restores per-round
-//     materialization for A/B runs).
+//     accessor needs one.
 //
 // Shape selection:
 //
@@ -28,11 +27,7 @@ package core
 //   - regular, any degree: fixed-point multiply sampling, base = v·d;
 //   - irregular: per-vertex degree and offset loads with fixed-point
 //     multiply sampling — still O(1) per draw, so power-law and other
-//     irregular families take the dense path too. Config.UseAlias
-//     instead routes draws through the graph's Walker alias table
-//     (graph.AliasTable, one 64-bit draw per sample, slots holding
-//     neighbor ids directly); it is opt-in because the slot table's
-//     larger footprint loses to the multiply sampler in measurement.
+//     irregular families take the dense path too.
 //
 // The two kernels consume randomness in different orders, so a walk that
 // ever enters dense mode is distribution-equivalent, not byte-identical,
@@ -46,9 +41,8 @@ package core
 // 32-bit half per vertex — both neighbor indices come from a single
 // half-draw via bit-field splitting (pow2 degree) or fixed-point
 // multiply reuse (rng.Block.PairIndex is the testable specification) —
-// the irregular multiply path spends one 64-bit word, and the opt-in
-// alias path two words per vertex; a round over c vertices fetches
-// (c·hpv+1)/2 words.
+// and the irregular multiply path spends one 64-bit word per vertex; a
+// round over c vertices fetches (c·hpv+1)/2 words.
 
 import (
 	"math"
@@ -144,7 +138,6 @@ type k2Shape struct {
 	adjN []uint16 // narrow adjacency for the fused regular kernels; nil when ids exceed 16 bits
 	offs []int32
 	deg  int32
-	at   *graph.AliasTable
 }
 
 type k2Kind int8
@@ -153,7 +146,6 @@ const (
 	k2Pow2 k2Kind = iota
 	k2Regular
 	k2Fallback
-	k2Alias
 )
 
 // sample runs the selected scheme over the frontier, with the round's
@@ -168,10 +160,8 @@ func (s *k2Shape) sample(chunk []int32, draws []uint64, mark []byte) {
 		samplePow2K2(s.adj, s.deg, mark, chunk, draws)
 	case k2Regular:
 		sampleRegularK2(s.adj, s.deg, mark, chunk, draws)
-	case k2Fallback:
-		sampleFallbackK2(s.adj, s.offs, mark, chunk, draws)
 	default:
-		sampleAliasK2(s.at, mark, chunk, draws)
+		sampleFallbackK2(s.adj, s.offs, mark, chunk, draws)
 	}
 }
 
@@ -181,7 +171,7 @@ func (s *k2Shape) sample(chunk []int32, draws []uint64, mark []byte) {
 // to 1. mark must come in all-zero with power-of-two length >= g.N()
 // (allocate it with AllocMark); gather the first g.N() bytes with
 // bitset.FromMarks (which re-zeroes them). Selection of the
-// mask/multiply/alias fast path uses the graph's cached degree metadata;
+// mask/multiply fast path uses the graph's cached degree metadata;
 // active must not contain isolated vertices (the walk constructors
 // reject graphs that have any). The draw sequence is part of the
 // engine's determinism contract: package epidemic calls this same kernel
@@ -189,41 +179,33 @@ func (s *k2Shape) sample(chunk []int32, draws []uint64, mark []byte) {
 // caller's draw scratch, grown here as needed (pass the address of a
 // reusable, initially nil slice).
 func SampleFrontierDense(g *graph.Graph, active []int32, k int, mark []byte, blk *rng.Block, draws *[]uint64) {
-	sampleFrontierList(g, active, k, mark, blk, false, draws)
-}
-
-// sampleFrontierList is SampleFrontierDense with the alias-table toggle:
-// useAlias pins irregular graphs to the per-vertex fixed-point fallback
-// (one word per K=2 vertex, matching the pre-alias draw layout) for A/B
-// comparisons.
-func sampleFrontierList(g *graph.Graph, active []int32, k int, mark []byte, blk *rng.Block, useAlias bool, draws *[]uint64) {
 	if k == 2 {
-		s := denseKernelK2(g, mark, useAlias, len(active))
+		s := denseKernelK2(g, mark, len(active))
 		d := ensureDraws(draws, (len(active)*s.hpv+1)/2)
 		blk.Fill(d[:(len(active)*s.hpv+1)/2])
 		s.sample(active, d, mark)
 		return
 	}
-	sampleFrontierGeneralK(g, active, k, mark, blk, useAlias)
+	sampleFrontierGeneralK(g, active, k, mark, blk)
 }
 
-// sampleFrontierBits is sampleFrontierList reading the frontier from a
+// sampleFrontierBits is SampleFrontierDense reading the frontier from a
 // bitset instead of a list (the bitset-resident frontier). Vertices are
 // visited in ascending order with the same per-vertex draw consumption,
 // so the draw stream is identical to running the list kernel on the
 // materialized frontier. The two regular shapes sample each vertex as
-// its bit is decoded (never materializing a list); the alias and
-// fallback shapes decode into *scratch first (stored back, so the
-// buffer is reused across rounds).
-func sampleFrontierBits(g *graph.Graph, frontier *bitset.Set, k int, mark []byte, blk *rng.Block, useAlias bool, scratch *[]int32, draws *[]uint64, draws32 *[]uint32) {
+// its bit is decoded (never materializing a list); the irregular shape
+// decodes into *scratch first (stored back, so the buffer is reused
+// across rounds).
+func sampleFrontierBits(g *graph.Graph, frontier *bitset.Set, k int, mark []byte, blk *rng.Block, scratch *[]int32, draws *[]uint64, draws32 *[]uint32) {
 	if k != 2 {
 		// General branching factors are off the fast path: materialize
 		// the frontier and run the list kernel.
 		*scratch = frontier.AppendTo((*scratch)[:0])
-		sampleFrontierGeneralK(g, *scratch, k, mark, blk, useAlias)
+		sampleFrontierGeneralK(g, *scratch, k, mark, blk)
 		return
 	}
-	s := denseKernelK2(g, mark, useAlias, 1)
+	s := denseKernelK2(g, mark, 1)
 	switch s.kind {
 	case k2Pow2, k2Regular:
 		pop := 0
@@ -258,11 +240,11 @@ func sampleFrontierBits(g *graph.Graph, frontier *bitset.Set, k int, mark []byte
 
 // denseKernelK2 selects the K=2 sampling scheme for g's shape.
 // Degrees of 2^16 or more exceed PairIndex resolution and fall through
-// to the offset/multiply sampler (any degree) or, under useAlias, the
-// two-half fallback. mark is validated here, once per round: the
-// samplers' masked stores require its length to be a power of two (see
-// allocMark), or masking would silently alias distinct vertices.
-func denseKernelK2(g *graph.Graph, mark []byte, useAlias bool, frontierLen int) k2Shape {
+// to the offset/multiply sampler (any degree). mark is validated here,
+// once per round: the samplers' masked stores require its length to be
+// a power of two (see allocMark), or masking would silently alias
+// distinct vertices.
+func denseKernelK2(g *graph.Graph, mark []byte, frontierLen int) k2Shape {
 	if len(mark) == 0 || len(mark)&(len(mark)-1) != 0 || len(mark) < g.N() {
 		panic("core: dense kernel mark length must be a power of two >= N")
 	}
@@ -278,8 +260,6 @@ func denseKernelK2(g *graph.Graph, mark []byte, useAlias bool, frontierLen int) 
 		return k2Shape{kind: k2Pow2, hpv: 1, adj: g.AdjPow2(), adjN: g.AdjPow2Narrow(), deg: deg}
 	case regular && deg < 1<<16:
 		return k2Shape{kind: k2Regular, hpv: 1, adj: g.AdjPow2(), adjN: g.AdjPow2Narrow(), deg: deg}
-	case useAlias:
-		return k2Shape{kind: k2Alias, hpv: 4, at: g.Alias()}
 	default:
 		return k2Shape{kind: k2Fallback, hpv: 2, adj: adj, offs: g.Offsets()}
 	}
@@ -457,33 +437,7 @@ func sampleRegularK2(adj []int32, deg int32, mark []byte, chunk []int32, draws [
 	}
 }
 
-// sampleAliasK2 is the chunk sampler for irregular graphs via the
-// graph's alias table: each sample is one 64-bit word resolved by
-// AliasTable.Sample2 (slot mask plus cut comparison), yielding neighbor
-// ids with no degree arithmetic or adjacency indirection. Two words per
-// vertex, unrolled two vertices (four samples) per iteration.
-func sampleAliasK2(at *graph.AliasTable, mark []byte, chunk []int32, draws []uint64) {
-	mm, dm := len(mark)-1, len(draws)-1
-	if mm < 0 || dm < 0 {
-		return
-	}
-	i := 0
-	for ; i+2 <= len(chunk); i += 2 {
-		u0, u1 := at.Sample2(chunk[i], draws[(2*i)&dm], draws[(2*i+1)&dm])
-		u2, u3 := at.Sample2(chunk[i+1], draws[(2*i+2)&dm], draws[(2*i+3)&dm])
-		mark[int(u0)&mm] = 1
-		mark[int(u1)&mm] = 1
-		mark[int(u2)&mm] = 1
-		mark[int(u3)&mm] = 1
-	}
-	if i < len(chunk) {
-		u1, u2 := at.Sample2(chunk[i], draws[(2*i)&dm], draws[(2*i+1)&dm])
-		mark[int(u1)&mm] = 1
-		mark[int(u2)&mm] = 1
-	}
-}
-
-// sampleFallbackK2 is the default irregular chunk sampler: per-vertex
+// sampleFallbackK2 is the irregular chunk sampler: per-vertex
 // degree and offset loads with fixed-point multiply sampling, one full
 // word (two 32-bit halves) per vertex.
 func sampleFallbackK2(adj []int32, offs []int32, mark []byte, chunk []int32, draws []uint64) {
@@ -505,10 +459,8 @@ func sampleFallbackK2(adj []int32, offs []int32, mark []byte, chunk []int32, dra
 
 // sampleFrontierGeneralK is the dense sampling loop for branching
 // factors other than 2: per-shape draw schemes match the K=2 paths
-// (mask, multiply, alias, or the useAlias fallback) with one 32-bit half
-// per sample on the regular paths and one 64-bit word per sample on the
-// alias path.
-func sampleFrontierGeneralK(g *graph.Graph, active []int32, k int, mark []byte, blk *rng.Block, useAlias bool) {
+// (mask or multiply), one 32-bit half per sample.
+func sampleFrontierGeneralK(g *graph.Graph, active []int32, k int, mark []byte, blk *rng.Block) {
 	adj, offs := g.Adj(), g.Offsets()
 	regular, deg := g.IsRegular()
 	if regular && deg == 0 && len(active) > 0 {
@@ -529,13 +481,6 @@ func sampleFrontierGeneralK(g *graph.Graph, active []int32, k int, mark []byte, 
 			base := v * deg
 			for j := 0; j < k; j++ {
 				mark[adj[base+int32(uint64(blk.Next32())*d>>32)]] = 1
-			}
-		}
-	case useAlias:
-		at := g.Alias()
-		for _, v := range active {
-			for j := 0; j < k; j++ {
-				mark[at.Sample(v, blk.Next())] = 1
 			}
 		}
 	default:
@@ -568,22 +513,17 @@ func (w *Walk) stepDense(size int) {
 		w.mark = AllocMark(w.g.N())
 	}
 	if w.activeIsBits {
-		sampleFrontierBits(w.g, w.activeSet, k, w.mark, w.blk, w.cfg.UseAlias, &w.active, &w.draws, &w.draws32)
+		sampleFrontierBits(w.g, w.activeSet, k, w.mark, w.blk, &w.active, &w.draws, &w.draws32)
 	} else {
-		sampleFrontierList(w.g, w.active, k, w.mark, w.blk, w.cfg.UseAlias, &w.draws)
+		SampleFrontierDense(w.g, w.active, k, w.mark, w.blk, &w.draws)
 	}
 	// Gather the sampled marks into the frontier bitset (overwriting last
 	// round's bits, so no ping-pong or clear pass is needed) and merge
 	// coverage word-parallel.
 	w.nActive = w.activeSet.FromMarks(w.mark[:w.g.N()])
 	w.nCovered += w.covered.UnionCount(w.activeSet)
-	if w.cfg.EagerFrontier {
-		w.active = w.activeSet.AppendTo(w.active[:0])
-		w.activeIsBits = false
-	} else {
-		w.activeIsBits = true
-		w.active = w.active[:0]
-	}
+	w.activeIsBits = true
+	w.active = w.active[:0]
 	w.steps++
 	if w.recording {
 		w.activeLog = append(w.activeLog, w.frontierSize())
@@ -594,8 +534,8 @@ func (w *Walk) stepDense(size int) {
 // mark-byte membership, and word-parallel coverage merging. Branching
 // factors still come from the walk's BranchingFunc (which draws from the
 // walk's Source, not the block); neighbor draws use the same per-shape
-// schemes as the cobra kernel, including the offset/multiply sampler
-// (or, opted in, the alias table) on irregular graphs.
+// schemes as the cobra kernel, including the offset/multiply sampler on
+// irregular graphs.
 func (w *GeneralWalk) stepDense() {
 	g := w.g
 	if w.blk == nil {
@@ -608,21 +548,11 @@ func (w *GeneralWalk) stepDense() {
 	adj, offs := g.Adj(), g.Offsets()
 	mark := w.mark
 	regular, rdeg := g.IsRegular()
-	var at *graph.AliasTable
-	if !regular && w.useAlias {
-		at = g.Alias()
-	}
 	d := uint64(rdeg)
 	for _, v := range w.active {
 		k := w.branch(v, w.steps, w.rnd)
 		if k < 1 {
 			panic("core: branching function returned < 1")
-		}
-		if at != nil {
-			for j := 0; j < k; j++ {
-				mark[at.Sample(v, blk.Next())] = 1
-			}
-			continue
 		}
 		base := offs[v]
 		dd := d

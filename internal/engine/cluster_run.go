@@ -133,7 +133,7 @@ func (e *Engine) requeue(j *Job) {
 
 // computeHolding runs j's spec, heartbeating the held lease while the
 // computation is in flight and releasing it afterwards. The result is
-// persisted (and journaled) before the release, so a peer whose claim
+// journaled and persisted before the release, so a peer whose claim
 // succeeds next observes the stored record instead of recomputing.
 func (e *Engine) computeHolding(j *Job, held bool) (*Output, error) {
 	c := e.opts.Cluster
@@ -167,15 +167,17 @@ func (e *Engine) computeHolding(j *Job, held bool) (*Output, error) {
 		return out, err
 	}
 	e.computed.Add(1)
+	// Journal before persisting: a waiting peer adopts the record as
+	// soon as it is visible and may finish the sweep, so the ledger
+	// entry must already be there. Journal whether or not the lease was
+	// held: a lease-less fallback compute is still the computation that
+	// produced the stored record, and the ledger is create-if-absent per
+	// key, so a racing duplicate collapses to the first reporter.
+	c.RecordComputed(j.fingerprint)
 	e.persist(j.fingerprint, out)
 	j.mu.Lock()
 	j.prePersisted = true
 	j.mu.Unlock()
-	// Journal whether or not the lease was held: a lease-less fallback
-	// compute is still the computation that produced the stored record,
-	// and the ledger is create-if-absent per key, so a racing duplicate
-	// collapses to the first reporter.
-	c.RecordComputed(j.fingerprint)
 	return out, nil
 }
 

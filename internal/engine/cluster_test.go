@@ -45,6 +45,26 @@ func newClusterNode(t *testing.T, dir, id string, role cluster.Role, workers int
 	return &clusterNode{st: st, cl: cl, eng: eng}
 }
 
+// joinGhost joins dir as a member that never heartbeats and runs no
+// engine: tests claim leases through it the way a stalled or dead peer
+// would hold them.
+func joinGhost(t *testing.T, dir string, leaseTTL time.Duration) (*store.Store, *cluster.Cluster) {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("open ghost store: %v", err)
+	}
+	ghost, err := cluster.Join(st, cluster.Config{
+		NodeID: "ghost", LeaseTTL: leaseTTL,
+		Heartbeat: time.Hour, Poll: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("join ghost: %v", err)
+	}
+	t.Cleanup(ghost.Leave)
+	return st, ghost
+}
+
 // TestClusterExactlyOnceCompute submits the identical spec to two
 // engines at once: the lease must let exactly one run it while the
 // other waits and then adopts the stored result.
@@ -178,18 +198,7 @@ func TestClusterExactlyOnceWithinOneNode(t *testing.T) {
 // engine must wait out the TTL, reclaim, and compute.
 func TestClusterLeaseReclaim(t *testing.T) {
 	dir := t.TempDir()
-	ghostStore, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("open ghost store: %v", err)
-	}
-	ghost, err := cluster.Join(ghostStore, cluster.Config{
-		NodeID: "ghost", LeaseTTL: 300 * time.Millisecond,
-		Heartbeat: time.Hour, Poll: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("join ghost: %v", err)
-	}
-	defer ghost.Leave()
+	_, ghost := joinGhost(t, dir, 300*time.Millisecond)
 
 	spec := &testSpec{Name: "reclaimed", Payload: 9}
 	fp := Fingerprint(spec)
@@ -228,6 +237,7 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 	dir := t.TempDir()
 	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 2)
 	b := newClusterNode(t, dir, "node-b", cluster.RoleRunner, 2)
+	_, ghost := joinGhost(t, dir, time.Minute)
 
 	// The runner adoption loop, wired the way cobrad wires it.
 	adoptStop := make(chan struct{})
@@ -256,9 +266,35 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 		Child: "process", Process: "cobra", Family: "cycle",
 		Sizes: []int{8, 10, 12, 14}, K: 2, Trials: 2, Seed: 5,
 	}
+	// The ghost holds every point's lease until the runner has adopted
+	// the sweep: a sweep that finished first would never be adopted
+	// (see TestClusterFinishedSweepIsNotAdopted).
+	pts, err := spec.points()
+	if err != nil {
+		t.Fatalf("points: %v", err)
+	}
+	for _, pt := range pts {
+		if ok, _, err := ghost.Claim(Fingerprint(pt.spec)); err != nil || !ok {
+			t.Fatalf("ghost claim = %v, %v", ok, err)
+		}
+	}
 	job, err := a.eng.Submit(spec, 0)
 	if err != nil {
 		t.Fatalf("submit sweep: %v", err)
+	}
+
+	// The runner must adopt the announcement and finish its own copy of
+	// the sweep (served from leases and the shared store).
+	deadline := time.After(20 * time.Second)
+	for adoptedSweep.Load() == 0 {
+		select {
+		case <-deadline:
+			t.Fatal("runner never adopted the announced sweep")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	for _, pt := range pts {
+		ghost.Release(Fingerprint(pt.spec))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -268,17 +304,6 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 	}
 	if len(outA.Points) != 4 {
 		t.Fatalf("sweep has %d points, want 4", len(outA.Points))
-	}
-
-	// The runner must have adopted the announcement and finished its
-	// own copy of the sweep (served from leases and the shared store).
-	deadline := time.After(20 * time.Second)
-	for adoptedSweep.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("runner never adopted the announced sweep")
-		case <-time.After(10 * time.Millisecond):
-		}
 	}
 	var sweepB *Job
 	for sweepB == nil {
@@ -339,6 +364,73 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 			t.Fatalf("announcement not retired: %+v", anns)
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestClusterFinishedSweepIsNotAdopted pins the adoption skip against a
+// real engine-stored aggregate: a sweep whose aggregate is already in
+// the shared store is retired by the runner, never submitted, even
+// while its announcement is still live — the state an origin leaves
+// behind when it crashes between storing the aggregate and retiring the
+// announcement.
+func TestClusterFinishedSweepIsNotAdopted(t *testing.T) {
+	dir := t.TempDir()
+	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 2)
+	b := newClusterNode(t, dir, "node-b", cluster.RoleRunner, 2)
+
+	spec := &SweepSpec{
+		Child: "process", Process: "cobra", Family: "cycle",
+		Sizes: []int{8, 10}, K: 2, Trials: 2, Seed: 5,
+	}
+	if _, err := a.eng.RunSync(context.Background(), spec); err != nil {
+		t.Fatalf("run sweep: %v", err)
+	}
+	announced := func() int {
+		anns, err := a.cl.Announcements()
+		if err != nil {
+			t.Fatalf("announcements: %v", err)
+		}
+		return len(anns)
+	}
+	deadline := time.After(10 * time.Second)
+	for announced() != 0 {
+		select {
+		case <-deadline:
+			t.Fatal("origin never retired its finished sweep")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if err := a.cl.AnnounceSweep(Fingerprint(spec), spec.Kind(), data, 0); err != nil {
+		t.Fatalf("re-announce: %v", err)
+	}
+
+	var submitted atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.cl.Adopt(stop, func(cluster.Announcement) error {
+			submitted.Add(1)
+			return nil
+		})
+	}()
+	defer func() { close(stop); <-done }()
+
+	// Only the runner's finished-sweep check retires an announcement
+	// here, so its retirement proves the runner scanned it.
+	for announced() != 0 {
+		select {
+		case <-deadline:
+			t.Fatal("runner never retired the finished sweep's announcement")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if n := submitted.Load(); n != 0 {
+		t.Fatalf("finished sweep submitted for adoption %d times, want 0", n)
 	}
 }
 
@@ -471,18 +563,7 @@ func TestSweepPartialResumeSchedulesOnlyMissing(t *testing.T) {
 // park its only slot behind the foreign lease.
 func TestClusterBlockedWorkerRotatesToClaimableWork(t *testing.T) {
 	dir := t.TempDir()
-	ghostStore, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("open ghost store: %v", err)
-	}
-	ghost, err := cluster.Join(ghostStore, cluster.Config{
-		NodeID: "ghost", LeaseTTL: time.Minute,
-		Heartbeat: time.Hour, Poll: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("join ghost: %v", err)
-	}
-	defer ghost.Leave()
+	ghostStore, ghost := joinGhost(t, dir, time.Minute)
 
 	blocked := &testSpec{Name: "held-by-ghost", Payload: 1}
 	if ok, _, err := ghost.Claim(Fingerprint(blocked)); err != nil || !ok {

@@ -10,8 +10,8 @@
 //
 // # Jobs and specs
 //
-// Work is described by Spec values ("process", "experiment", "sweep",
-// and the deprecated "covertime"/"cobra" adapters). A Spec must be a
+// Work is described by Spec values: "process", "experiment", and
+// "sweep". A Spec must be a
 // pure function of its exported fields: two specs with equal
 // Fingerprints produce equal Outputs. That determinism is what makes
 // everything downstream sound — the in-memory LRU cache, the

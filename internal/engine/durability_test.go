@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -183,7 +184,7 @@ func TestEvictionSparesChildrenOfLiveSweeps(t *testing.T) {
 	defer shutdown(t, e)
 
 	spec := &SweepSpec{
-		Child: "covertime", Family: "cycle", Sizes: []int{6, 8}, K: 2, Trials: 1, Seed: 5,
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{6, 8}, K: 2, Trials: 1, Seed: 5,
 	}
 	pts, err := spec.points()
 	if err != nil {
@@ -293,4 +294,66 @@ func TestWatchStreamsProgressAndTerminalState(t *testing.T) {
 		t.Errorf("final progress = %d/%d, want 3/3", last.Done, last.Total)
 	}
 	_ = sawProgress // progress events are coalesced; observing any is not guaranteed
+}
+
+// parkedPutStore is a ResultStore whose Put signals entered and then
+// parks until release closes.
+type parkedPutStore struct {
+	entered, release chan struct{}
+}
+
+func (s *parkedPutStore) Get(string) ([]byte, bool, error) { return nil, false, nil }
+func (s *parkedPutStore) Len() int                         { return 0 }
+
+func (s *parkedPutStore) Put(string, []byte) error {
+	close(s.entered)
+	<-s.release
+	return nil
+}
+
+// TestWatchersSeeDoneAfterPublication pins finishJob's ordering: no
+// Watch subscriber may see a job Done while its result is still being
+// written, or a client that resubmits on that signal misses the cache.
+func TestWatchersSeeDoneAfterPublication(t *testing.T) {
+	st := &parkedPutStore{entered: make(chan struct{}), release: make(chan struct{})}
+	e := New(Options{Workers: 1, Store: st})
+	defer shutdown(t, e)
+	unpark := sync.OnceFunc(func() { close(st.release) })
+	defer unpark() // before shutdown, which waits for the parked worker
+
+	run := make(chan struct{})
+	job, err := e.Submit(blockingSpec("published", run), 0)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	updates, stop := job.Watch()
+	defer stop()
+	close(run)
+	select {
+	case <-st.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("store Put never started")
+	}
+	// Put is parked: everything published so far must be non-terminal.
+	for drained := false; !drained; {
+		select {
+		case s := <-updates:
+			if s.State.Terminal() {
+				t.Fatalf("watcher saw %s while the result was still being stored", s.State)
+			}
+		default:
+			drained = true
+		}
+	}
+	unpark()
+	for {
+		select {
+		case s := <-updates:
+			if s.State == Done {
+				return
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("watcher never saw the job done")
+		}
+	}
 }

@@ -667,7 +667,8 @@ func (e *Engine) runJob(j *Job) {
 }
 
 // finishJob moves j to its terminal state, updates counters, and caches
-// successful outputs.
+// successful outputs. Watchers hear of the terminal state only once the
+// output is published.
 func (e *Engine) finishJob(j *Job, out *Output, err error) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -692,7 +693,6 @@ func (e *Engine) finishJob(j *Job, out *Output, err error) {
 	state := j.state
 	prePersisted := j.prePersisted
 	latency := j.finished.Sub(j.started)
-	j.notifyLocked()
 	j.mu.Unlock()
 
 	if state == Done && e.jobLatency != nil {
@@ -707,10 +707,10 @@ func (e *Engine) finishJob(j *Job, out *Output, err error) {
 	}
 
 	// Publish the result to the cache, the persistent store, and the
-	// counters before closing done: a waiter that resubmits the
-	// identical spec the instant Wait returns must observe the cache
-	// entry, and a daemon restarted the instant a job reports done must
-	// find its record on disk.
+	// counters before notifying watchers and closing done: a waiter or
+	// watcher that resubmits the identical spec the instant it sees the
+	// job done must observe the cache entry, and a daemon restarted the
+	// instant a job reports done must find its record on disk.
 	switch state {
 	case Done:
 		e.completed.Add(1)
@@ -728,6 +728,9 @@ func (e *Engine) finishJob(j *Job, out *Output, err error) {
 	case Failed:
 		e.failed.Add(1)
 	}
+	j.mu.Lock()
+	j.notifyLocked()
+	j.mu.Unlock()
 	close(j.done)
 	j.cancel()
 }

@@ -57,7 +57,7 @@ func TestFingerprintDeterministicAndDistinct(t *testing.T) {
 	a1 := Fingerprint(&testSpec{Name: "a", Payload: 1})
 	a2 := Fingerprint(&testSpec{Name: "a", Payload: 1})
 	b := Fingerprint(&testSpec{Name: "a", Payload: 2})
-	c := Fingerprint(&CoverTimeSpec{Graph: "cycle:8", K: 2, Trials: 1, Seed: 1})
+	c := Fingerprint(&ProcessSpec{Process: "cobra", Graph: "cycle:8", Trials: 1, Seed: 1})
 	if a1 != a2 {
 		t.Errorf("equal specs fingerprint differently: %s vs %s", a1, a2)
 	}

@@ -9,9 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
-	"repro/internal/graphstore"
-	"repro/internal/obs"
-	"repro/internal/process"
 	"repro/internal/sim"
 )
 
@@ -20,8 +17,7 @@ import (
 // Fingerprints must produce equal Outputs, which is what makes the
 // result cache sound.
 type Spec interface {
-	// Kind names the job type ("process", "experiment", "sweep", or a
-	// legacy adapter kind: "covertime", "cobra").
+	// Kind names the job type: "process", "experiment", or "sweep".
 	Kind() string
 	// Validate rejects malformed specs before they reach the queue.
 	Validate() error
@@ -70,10 +66,6 @@ func DecodeSpec(kind string, raw json.RawMessage) (Spec, error) {
 	switch kind {
 	case "process":
 		spec = &ProcessSpec{}
-	case "covertime":
-		spec = &CoverTimeSpec{}
-	case "cobra":
-		spec = &CobraWalkSpec{}
 	case "experiment":
 		spec = &ExperimentSpec{}
 	case "sweep":
@@ -90,189 +82,6 @@ func DecodeSpec(kind string, raw json.RawMessage) (Spec, error) {
 		return nil, fmt.Errorf("engine: bad %s spec: %w", kind, err)
 	}
 	return spec, nil
-}
-
-// CoverTimeSpec measures the k-cobra cover time on one graph over
-// independent Monte Carlo trials: the workload of cmd/covertime and the
-// paper's headline quantity.
-//
-// CoverTimeSpec is a legacy adapter over the registered "cobra"
-// process, retained so stored fingerprints and the "covertime" wire
-// kind keep verifying byte-for-byte; new clients should submit
-// {"kind": "process", "spec": {"process": "cobra", ...}} instead.
-type CoverTimeSpec struct {
-	// Graph is a cli graph spec, e.g. "grid:2,16" or "regular:1024,5".
-	Graph string `json:"graph"`
-	// GraphSeed seeds randomized graph families.
-	GraphSeed uint64 `json:"graph_seed,omitempty"`
-	// K is the cobra branching factor.
-	K int `json:"k"`
-	// Trials is the number of independent trials.
-	Trials int `json:"trials"`
-	// Seed is the root random seed; trial i uses stream i.
-	Seed uint64 `json:"seed"`
-	// MaxSteps caps each trial; zero selects core.DefaultMaxSteps.
-	MaxSteps int `json:"max_steps,omitempty"`
-	// Start is the start vertex.
-	Start int32 `json:"start,omitempty"`
-}
-
-// Kind implements Spec.
-func (s *CoverTimeSpec) Kind() string { return "covertime" }
-
-// Validate implements Spec.
-func (s *CoverTimeSpec) Validate() error {
-	if s.Graph == "" {
-		return fmt.Errorf("engine: covertime: graph spec required")
-	}
-	if s.K < 1 {
-		return fmt.Errorf("engine: covertime: k must be >= 1")
-	}
-	if s.Trials < 1 {
-		return fmt.Errorf("engine: covertime: trials must be >= 1")
-	}
-	return nil
-}
-
-// Run implements Spec by delegating to the registered "cobra" process
-// with cover_fraction 1 and reshaping the result to the historical
-// covertime output: identical per-trial draw sequence, identical
-// summary keys, so covertime results stay byte-identical through the
-// ProcessSpec path.
-func (s *CoverTimeSpec) Run(ctx context.Context, progress func(done, total int)) (*Output, error) {
-	return s.RunObserved(ctx, progress, nil)
-}
-
-// RunObserved implements ObservableSpec (observation is
-// draw-sequence-neutral, so the historical byte-identity holds with a
-// tracer attached).
-func (s *CoverTimeSpec) RunObserved(ctx context.Context, progress func(done, total int), observer obs.Observer) (*Output, error) {
-	res, err := runCobraProcess(ctx, s.Graph, s.GraphSeed, process.Params{
-		"k":         float64(s.K),
-		"max_steps": float64(s.MaxSteps),
-		"start":     float64(s.Start),
-	}, s.Trials, s.Seed, progress, observer)
-	if err != nil {
-		return nil, err
-	}
-	return &Output{
-		Values: res.Values,
-		Summary: map[string]float64{
-			"mean": res.Summary["mean"],
-			"ci95": res.Summary["ci95"],
-			"max":  res.Summary["max"],
-			"n":    res.Summary["n"],
-			"m":    res.Summary["m"],
-		},
-		Meta: map[string]string{"graph": s.Graph},
-	}, nil
-}
-
-// runCobraProcess is the shared delegation path of the two deprecated
-// cobra-walk adapters.
-func runCobraProcess(ctx context.Context, graphSpec string, graphSeed uint64, params process.Params, trials int, seed uint64, progress func(done, total int), observer obs.Observer) (*process.Result, error) {
-	proc, ok := process.Get("cobra")
-	if !ok {
-		return nil, fmt.Errorf("engine: cobra process not registered")
-	}
-	gr := graphstore.FromContext(ctx)
-	g, err := gr.Resolve(graphSpec, graphSeed)
-	if err != nil {
-		return nil, err
-	}
-	defer gr.Release(g)
-	return proc.Run(ctx, process.Run{
-		Graph:    g,
-		Params:   params,
-		Trials:   trials,
-		Seed:     seed,
-		Progress: progress,
-		Observer: observer,
-	})
-}
-
-// CobraWalkSpec runs k-cobra walks to a target coverage fraction and
-// reports both round and message costs — the broadcast view of the
-// process (every active vertex pushes k messages per round).
-//
-// CobraWalkSpec is a legacy adapter over the registered "cobra"
-// process, retained so stored fingerprints and the "cobra" wire kind
-// keep verifying byte-for-byte; new clients should submit
-// {"kind": "process", "spec": {"process": "cobra", ...}} instead.
-type CobraWalkSpec struct {
-	// Graph is a cli graph spec.
-	Graph string `json:"graph"`
-	// GraphSeed seeds randomized graph families.
-	GraphSeed uint64 `json:"graph_seed,omitempty"`
-	// K is the cobra branching factor.
-	K int `json:"k"`
-	// Trials is the number of independent trials.
-	Trials int `json:"trials"`
-	// Seed is the root random seed.
-	Seed uint64 `json:"seed"`
-	// CoverFraction is the coverage target in (0, 1]; zero means 1
-	// (full cover).
-	CoverFraction float64 `json:"cover_fraction,omitempty"`
-	// MaxSteps caps each trial; zero selects core.DefaultMaxSteps.
-	MaxSteps int `json:"max_steps,omitempty"`
-	// Start is the start vertex.
-	Start int32 `json:"start,omitempty"`
-}
-
-// Kind implements Spec.
-func (s *CobraWalkSpec) Kind() string { return "cobra" }
-
-// Validate implements Spec.
-func (s *CobraWalkSpec) Validate() error {
-	if s.Graph == "" {
-		return fmt.Errorf("engine: cobra: graph spec required")
-	}
-	if s.K < 1 {
-		return fmt.Errorf("engine: cobra: k must be >= 1")
-	}
-	if s.Trials < 1 {
-		return fmt.Errorf("engine: cobra: trials must be >= 1")
-	}
-	if s.CoverFraction < 0 || s.CoverFraction > 1 {
-		return fmt.Errorf("engine: cobra: cover_fraction must be in (0, 1]")
-	}
-	return nil
-}
-
-// Run implements Spec by delegating to the registered "cobra" process
-// and renaming the uniform summary keys to the historical broadcast
-// view (steps_mean, steps_ci95, steps_max, messages_mean).
-func (s *CobraWalkSpec) Run(ctx context.Context, progress func(done, total int)) (*Output, error) {
-	return s.RunObserved(ctx, progress, nil)
-}
-
-// RunObserved implements ObservableSpec.
-func (s *CobraWalkSpec) RunObserved(ctx context.Context, progress func(done, total int), observer obs.Observer) (*Output, error) {
-	frac := s.CoverFraction
-	if frac == 0 {
-		frac = 1
-	}
-	res, err := runCobraProcess(ctx, s.Graph, s.GraphSeed, process.Params{
-		"k":              float64(s.K),
-		"cover_fraction": frac,
-		"max_steps":      float64(s.MaxSteps),
-		"start":          float64(s.Start),
-	}, s.Trials, s.Seed, progress, observer)
-	if err != nil {
-		return nil, err
-	}
-	return &Output{
-		Values: res.Values,
-		Summary: map[string]float64{
-			"steps_mean":    res.Summary["mean"],
-			"steps_ci95":    res.Summary["ci95"],
-			"steps_max":     res.Summary["max"],
-			"messages_mean": res.Summary["messages_mean"],
-			"n":             res.Summary["n"],
-			"m":             res.Summary["m"],
-		},
-		Meta: map[string]string{"graph": s.Graph},
-	}, nil
 }
 
 // ExperimentSpec runs one registered paper-reproduction experiment

@@ -9,40 +9,43 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/process"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
 func TestDecodeSpec(t *testing.T) {
-	spec, err := DecodeSpec("covertime", json.RawMessage(`{"graph":"grid:2,8","k":2,"trials":5,"seed":1}`))
+	spec, err := DecodeSpec("process", json.RawMessage(`{"process":"cobra","graph":"grid:2,8","params":{"k":2},"trials":5,"seed":1}`))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	ct, ok := spec.(*CoverTimeSpec)
+	ps, ok := spec.(*ProcessSpec)
 	if !ok {
-		t.Fatalf("decoded %T, want *CoverTimeSpec", spec)
+		t.Fatalf("decoded %T, want *ProcessSpec", spec)
 	}
-	if ct.Graph != "grid:2,8" || ct.K != 2 || ct.Trials != 5 || ct.Seed != 1 {
-		t.Errorf("decoded spec = %+v", ct)
+	if ps.Process != "cobra" || ps.Graph != "grid:2,8" || ps.Params.Int("k", 0) != 2 || ps.Trials != 5 || ps.Seed != 1 {
+		t.Errorf("decoded spec = %+v", ps)
 	}
 
-	if _, err := DecodeSpec("nonsense", json.RawMessage(`{}`)); err == nil {
-		t.Error("unknown kind accepted")
+	for _, kind := range []string{"nonsense", "covertime", "cobra"} {
+		if _, err := DecodeSpec(kind, json.RawMessage(`{}`)); err == nil {
+			t.Errorf("unknown kind %q accepted", kind)
+		}
 	}
-	if _, err := DecodeSpec("covertime", nil); err == nil {
+	if _, err := DecodeSpec("process", nil); err == nil {
 		t.Error("missing body accepted")
 	}
-	if _, err := DecodeSpec("covertime", json.RawMessage(`{"graph":"cycle:8","k":2,"trials":1,"seed":1,"typo_field":3}`)); err == nil {
+	if _, err := DecodeSpec("process", json.RawMessage(`{"process":"cobra","graph":"cycle:8","trials":1,"seed":1,"typo_field":3}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+	// Per-trial caps and coverage targets of a sweep live in params.
+	if _, err := DecodeSpec("sweep", json.RawMessage(`{"child":"process","process":"cobra","family":"cycle","sizes":[8],"k":2,"trials":1,"seed":1,"max_steps":5}`)); err == nil {
+		t.Error("sweep-level max_steps accepted")
 	}
 }
 
 func TestSpecValidation(t *testing.T) {
 	cases := []Spec{
-		&CoverTimeSpec{Graph: "", K: 2, Trials: 1},
-		&CoverTimeSpec{Graph: "cycle:8", K: 0, Trials: 1},
-		&CoverTimeSpec{Graph: "cycle:8", K: 2, Trials: 0},
-		&CobraWalkSpec{Graph: "cycle:8", K: 2, Trials: 1, CoverFraction: 1.5},
 		&ExperimentSpec{ID: "E999"},
 		&ExperimentSpec{ID: "E1", Scale: "enormous"},
 	}
@@ -53,11 +56,11 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestCoverTimeSpecMatchesDirectRun is the engine-equivalence check: a
-// cover-time job routed through the engine must reproduce, value for
-// value, what the pre-engine CLI computed by calling sim.RunTrials
-// directly with the same seed discipline.
-func TestCoverTimeSpecMatchesDirectRun(t *testing.T) {
+// TestProcessSpecMatchesDirectRun is the engine-equivalence check: a
+// cobra job routed through the engine must reproduce, value for value,
+// what the pre-engine CLI computed by calling sim.RunTrials directly
+// with the same seed discipline.
+func TestProcessSpecMatchesDirectRun(t *testing.T) {
 	const (
 		graphSpec = "grid:2,8"
 		k         = 2
@@ -67,8 +70,9 @@ func TestCoverTimeSpecMatchesDirectRun(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer shutdown(t, e)
 
-	out, err := e.RunSync(context.Background(), &CoverTimeSpec{
-		Graph: graphSpec, GraphSeed: 7, K: k, Trials: trials, Seed: seed,
+	out, err := e.RunSync(context.Background(), &ProcessSpec{
+		Process: "cobra", Graph: graphSpec, GraphSeed: 7, Trials: trials, Seed: seed,
+		Params: process.Params{"k": float64(k)},
 	})
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
@@ -104,26 +108,31 @@ func TestCoverTimeSpecMatchesDirectRun(t *testing.T) {
 	}
 }
 
-func TestCoverTimeSpecBadGraphFails(t *testing.T) {
+func TestProcessSpecBadGraphFails(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer shutdown(t, e)
-	if _, err := e.RunSync(context.Background(), &CoverTimeSpec{
-		Graph: "dodecahedron:12", K: 2, Trials: 1, Seed: 1,
+	if _, err := e.RunSync(context.Background(), &ProcessSpec{
+		Process: "cobra", Graph: "dodecahedron:12", Trials: 1, Seed: 1,
+		Params: process.Params{"k": 2.0},
 	}); err == nil {
 		t.Error("unknown graph family accepted")
 	}
-	if _, err := e.RunSync(context.Background(), &CoverTimeSpec{
-		Graph: "cycle:8", K: 2, Trials: 1, Seed: 1, Start: 99,
+	if _, err := e.RunSync(context.Background(), &ProcessSpec{
+		Process: "cobra", Graph: "cycle:8", Trials: 1, Seed: 1,
+		Params: process.Params{"k": 2.0, "start": 99.0},
 	}); err == nil || !strings.Contains(err.Error(), "start vertex") {
 		t.Errorf("out-of-range start error = %v", err)
 	}
 }
 
-func TestCobraWalkSpec(t *testing.T) {
+// TestProcessSpecCoverFraction runs the cobra process to a partial
+// coverage target, the broadcast view of the walk.
+func TestProcessSpecCoverFraction(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer shutdown(t, e)
-	out, err := e.RunSync(context.Background(), &CobraWalkSpec{
-		Graph: "complete:16", K: 2, Trials: 6, Seed: 3, CoverFraction: 0.5,
+	out, err := e.RunSync(context.Background(), &ProcessSpec{
+		Process: "cobra", Graph: "complete:16", Trials: 6, Seed: 3,
+		Params: process.Params{"k": 2.0, "cover_fraction": 0.5},
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -74,7 +74,7 @@ func TestSubmitTracedPropagatesTrace(t *testing.T) {
 		t.Errorf("job trace = %q, want trace-abc", st.Trace)
 	}
 
-	sweep := &SweepSpec{Child: "covertime", Family: "cycle", Sizes: []int{8, 16}, K: 2, Trials: 1, Seed: 3}
+	sweep := &SweepSpec{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8, 16}, K: 2, Trials: 1, Seed: 3}
 	sj, err := e.SubmitTraced(sweep, 0, "trace-sweep")
 	if err != nil {
 		t.Fatalf("submit sweep: %v", err)
@@ -88,7 +88,7 @@ func TestSubmitTracedPropagatesTrace(t *testing.T) {
 	children := 0
 	for _, j := range e.Jobs() {
 		st := j.Snapshot()
-		if st.Kind == "covertime" {
+		if st.Kind == "process" {
 			children++
 			if st.Trace != "trace-sweep" {
 				t.Errorf("sweep child %s trace = %q, want trace-sweep", st.ID, st.Trace)

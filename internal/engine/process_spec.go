@@ -11,11 +11,9 @@ import (
 
 // ProcessSpec is the generic job spec: any process registered in
 // internal/process, parameterized by its own schema, run for Trials
-// independent trials on one graph. It subsumes the historical
-// CoverTimeSpec and CobraWalkSpec (kept as thin adapters for fingerprint
-// and wire compatibility) and is the only spec kind new processes ever
-// need — registering a process makes it schedulable, sweepable, and
-// cacheable with no engine changes.
+// independent trials on one graph. It is the only spec kind new
+// processes ever need — registering a process makes it schedulable,
+// sweepable, and cacheable with no engine changes.
 type ProcessSpec struct {
 	// Process is a registered process name (see GET /v1/processes).
 	Process string `json:"process"`

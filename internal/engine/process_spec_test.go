@@ -31,32 +31,43 @@ func TestProcessSpecValidate(t *testing.T) {
 	}
 }
 
-// TestCoverTimeAdapterMatchesProcessSpec pins the adapter contract: the
-// deprecated CoverTimeSpec and a ProcessSpec for the cobra process with
-// the same parameters must produce identical per-trial values, because
-// both run the same registered process draw for draw.
-func TestCoverTimeAdapterMatchesProcessSpec(t *testing.T) {
+// TestCobraSweepGolden pins the cobra sweep that cmd/covertime submits:
+// per-point Values and fingerprints. The Values were recorded from the
+// retired "covertime" sweep child, which ran this grid point for point,
+// so cmd/covertime's numbers carry over unchanged; the fingerprints pin
+// the cache addresses of stored process sweeps.
+func TestCobraSweepGolden(t *testing.T) {
 	e := New(Options{Workers: 2})
-	defer e.Shutdown(context.Background())
+	defer shutdown(t, e)
 
-	legacy, err := e.RunSync(context.Background(), &CoverTimeSpec{
-		Graph: "grid:2,6", K: 2, Trials: 6, Seed: 7,
-	})
+	spec := &SweepSpec{
+		Child: "process", Process: "cobra", Families: []string{"grid:2", "regular:5"},
+		Sizes: []int{8, 12, 16}, K: 2, Trials: 4, Seed: 42,
+	}
+	if got, want := Fingerprint(spec), "67ece206d93a7c4f24716c7d64a21119dabb6fd5655bcfee41f6f902c91ec352"; got != want {
+		t.Errorf("sweep fingerprint drifted:\n got %s\nwant %s", got, want)
+	}
+	out, err := e.RunSync(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("legacy covertime: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
-	generic, err := e.RunSync(context.Background(), &ProcessSpec{
-		Process: "cobra", Graph: "grid:2,6", Trials: 6, Seed: 7,
-		Params: process.Params{"k": 2.0},
-	})
-	if err != nil {
-		t.Fatalf("process cobra: %v", err)
+	golden := [][]float64{
+		{20, 20, 29, 22}, {31, 34, 28, 31}, {38, 39, 44, 46}, // grid:2
+		{4, 4, 4, 8}, {6, 8, 7, 5}, {7, 9, 7, 8}, // regular:5
 	}
-	if !reflect.DeepEqual(legacy.Values, generic.Values) {
-		t.Errorf("values diverge:\nlegacy:  %v\nprocess: %v", legacy.Values, generic.Values)
+	if len(out.Points) != len(golden) {
+		t.Fatalf("sweep produced %d points, want %d", len(out.Points), len(golden))
 	}
-	if generic.Meta["process"] != "cobra" {
-		t.Errorf("process output meta = %v", generic.Meta)
+	for i, want := range golden {
+		if got := out.Points[i].Values; !reflect.DeepEqual(got, want) {
+			t.Errorf("point %d (%s): values %v, golden %v", i, out.Points[i].Graph, got, want)
+		}
+	}
+
+	// The address of cmd/covertime's default sweep.
+	cli := &SweepSpec{Child: "process", Process: "cobra", Family: "grid:2", Sizes: []int{8, 16, 32}, K: 2, Trials: 10, Seed: 1}
+	if got, want := Fingerprint(cli), "5c0387dbb4b0c895f451b8da38615d79684810307328473f4f10bd1684645460"; got != want {
+		t.Errorf("cmd/covertime sweep fingerprint drifted:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -125,9 +136,8 @@ func TestProcessSweepValidation(t *testing.T) {
 		{Child: "process", Process: "teleport", Family: "cycle", Sizes: []int{8}, Trials: 1},                        // unknown process
 		{Child: "process", Process: "walt", Family: "cycle", Sizes: []int{8}, Ks: []int{1, 2}, Trials: 1},           // walt has no k
 		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, Trials: 1},                           // k missing entirely
-		{Child: "covertime", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 1},                   // process field on walk sweep
+		{Child: "experiment", Process: "cobra", IDs: []string{"E14"}},                                               // process field on experiment sweep
 		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Ks: []int{1, 2}, Trials: 1},    // k and ks
-		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 1, MaxSteps: 5},        // max_steps outside params
 		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 1, IDs: []string{"x"}}, // experiment field
 	}
 	for i, spec := range bad {

@@ -14,12 +14,10 @@ import (
 )
 
 // SweepSpec is a server-side parameter sweep: one submitted spec fans
-// out into child point jobs over a grid of graph families, sizes, and
-// branching factors (for "covertime", "cobra", and "process" children)
-// or over a list of experiment IDs (for "experiment" children). A
-// "process" sweep additionally fans over registered process names, so
-// one spec can span families × ks × sizes × processes. The engine runs
-// the children on its worker pool, aggregates their progress and
+// out into child point jobs over a grid of registered processes, graph
+// families, branching factors, and sizes (for "process" children) or
+// over a list of experiment IDs (for "experiment" children). The engine
+// runs the children on its worker pool, aggregates their progress and
 // results, and caches the aggregate under the sweep's own fingerprint —
 // so identical sweeps, and any point shared with a past sweep or point
 // job, are served without re-running trials.
@@ -27,12 +25,11 @@ import (
 // Seed discipline matches the historical client-side loops exactly:
 // size index si uses graph-seed stream 9000+si, and the flat point
 // index p (processes × families × ks × sizes, sizes fastest) uses
-// trial-seed stream p. A single-family, single-k sweep therefore
+// trial-seed stream p. A single-family, single-k cobra sweep therefore
 // reproduces, byte for byte, what cmd/covertime computed before sweeps
 // moved server-side.
 type SweepSpec struct {
-	// Child is the child job kind: "process", "covertime", "cobra", or
-	// "experiment".
+	// Child is the child job kind: "process" or "experiment".
 	Child string `json:"child"`
 	// Process is a registered process name for "process" children;
 	// Processes, when set, sweeps several.
@@ -55,10 +52,6 @@ type SweepSpec struct {
 	Ks []int `json:"ks,omitempty"`
 	// Trials is the number of independent trials per point.
 	Trials int `json:"trials,omitempty"`
-	// MaxSteps caps each trial; zero selects the core default.
-	MaxSteps int `json:"max_steps,omitempty"`
-	// CoverFraction is the coverage target for "cobra" children.
-	CoverFraction float64 `json:"cover_fraction,omitempty"`
 	// IDs is the experiment axis for "experiment" children.
 	IDs []string `json:"ids,omitempty"`
 	// Scale is the experiment scale ("quick" or "full").
@@ -126,10 +119,7 @@ func (p sweepPoint) describe() string {
 	if p.id != "" {
 		return p.id
 	}
-	if p.process != "" {
-		return fmt.Sprintf("%s %s k=%d", p.process, p.graph, p.k)
-	}
-	return fmt.Sprintf("%s k=%d", p.graph, p.k)
+	return fmt.Sprintf("%s %s k=%d", p.process, p.graph, p.k)
 }
 
 // points expands the grid into child specs, in flat point order.
@@ -140,8 +130,6 @@ func (s *SweepSpec) points() ([]sweepPoint, error) {
 	switch s.Child {
 	case "process":
 		return s.processPoints()
-	case "covertime", "cobra":
-		return s.walkPoints()
 	case "experiment":
 		return s.experimentPoints()
 	default:
@@ -184,9 +172,6 @@ func (s *SweepSpec) processPoints() ([]sweepPoint, error) {
 	}
 	if len(s.IDs) > 0 || s.Scale != "" {
 		return nil, fmt.Errorf("engine: sweep: ids/scale are experiment-sweep fields")
-	}
-	if s.CoverFraction != 0 || s.MaxSteps != 0 {
-		return nil, fmt.Errorf("engine: sweep: cover_fraction/max_steps of a process sweep belong in params")
 	}
 	byName := make(map[string]process.Process, len(procs))
 	for _, name := range procs {
@@ -254,70 +239,13 @@ func (s *SweepSpec) processPoints() ([]sweepPoint, error) {
 	return pts, nil
 }
 
-func (s *SweepSpec) walkPoints() ([]sweepPoint, error) {
-	families := s.Families
-	if len(families) == 0 {
-		if s.Family == "" {
-			return nil, fmt.Errorf("engine: sweep: family or families required")
-		}
-		families = []string{s.Family}
-	} else if s.Family != "" {
-		return nil, fmt.Errorf("engine: sweep: family and families are mutually exclusive")
-	}
-	ks := s.Ks
-	if len(ks) == 0 {
-		if s.K < 1 {
-			return nil, fmt.Errorf("engine: sweep: k or ks required")
-		}
-		ks = []int{s.K}
-	} else if s.K != 0 {
-		return nil, fmt.Errorf("engine: sweep: k and ks are mutually exclusive")
-	}
-	if len(s.Sizes) == 0 {
-		return nil, fmt.Errorf("engine: sweep: sizes required")
-	}
-	if len(s.IDs) > 0 || s.Scale != "" {
-		return nil, fmt.Errorf("engine: sweep: ids/scale are experiment-sweep fields")
-	}
-
-	var pts []sweepPoint
-	for fi, family := range families {
-		for ki, k := range ks {
-			for si, size := range s.Sizes {
-				graphSpec, err := cli.FamilySpec(family, size)
-				if err != nil {
-					return nil, fmt.Errorf("engine: sweep: %w", err)
-				}
-				p := (fi*len(ks)+ki)*len(s.Sizes) + si
-				graphSeed := rng.Stream(s.Seed, 9000+si)
-				trialSeed := rng.Stream(s.Seed, p)
-				var spec Spec
-				if s.Child == "covertime" {
-					spec = &CoverTimeSpec{
-						Graph: graphSpec, GraphSeed: graphSeed,
-						K: k, Trials: s.Trials, Seed: trialSeed, MaxSteps: s.MaxSteps,
-					}
-				} else {
-					spec = &CobraWalkSpec{
-						Graph: graphSpec, GraphSeed: graphSeed,
-						K: k, Trials: s.Trials, Seed: trialSeed, MaxSteps: s.MaxSteps,
-						CoverFraction: s.CoverFraction,
-					}
-				}
-				pts = append(pts, sweepPoint{spec: spec, family: family, graph: graphSpec, size: size, k: k})
-			}
-		}
-	}
-	return pts, nil
-}
-
 func (s *SweepSpec) experimentPoints() ([]sweepPoint, error) {
 	if len(s.IDs) == 0 {
 		return nil, fmt.Errorf("engine: sweep: ids required for experiment sweeps")
 	}
 	if s.Family != "" || len(s.Families) > 0 || len(s.Sizes) > 0 ||
-		s.K != 0 || len(s.Ks) > 0 || s.Trials != 0 || s.CoverFraction != 0 || s.MaxSteps != 0 {
-		return nil, fmt.Errorf("engine: sweep: grid fields are walk-sweep fields")
+		s.K != 0 || len(s.Ks) > 0 || s.Trials != 0 {
+		return nil, fmt.Errorf("engine: sweep: grid fields are process-sweep fields")
 	}
 	pts := make([]sweepPoint, len(s.IDs))
 	for i, id := range s.IDs {
@@ -623,9 +551,9 @@ func interpolateChildUnits(done, tot, inFlightRounds int, meanRounds float64) in
 }
 
 // aggregateSweep assembles the sweep Output from terminal children: the
-// per-point results plus, for walk sweeps, one summary table per
-// (family, k) slice. Any child failure fails the whole sweep with the
-// first failing point's error.
+// per-point results plus, for process sweeps, one summary table per
+// (process, family, k) slice. Any child failure fails the whole sweep
+// with the first failing point's error.
 func aggregateSweep(spec *SweepSpec, pts []sweepPoint, children []*Job) (*Output, error) {
 	points := make([]SweepPointResult, len(children))
 	for i, c := range children {
@@ -657,8 +585,8 @@ func aggregateSweep(spec *SweepSpec, pts []sweepPoint, children []*Job) (*Output
 		},
 	}
 	switch spec.Child {
-	case "covertime", "cobra", "process":
-		agg.Tables = walkSweepTables(spec, points)
+	case "process":
+		agg.Tables = processSweepTables(points)
 	case "experiment":
 		for _, p := range points {
 			agg.Tables = append(agg.Tables, p.Tables...)
@@ -668,10 +596,10 @@ func aggregateSweep(spec *SweepSpec, pts []sweepPoint, children []*Job) (*Output
 	return agg, nil
 }
 
-// walkSweepTables renders one table per (process, family, k) slice of a
-// walk or process sweep, rows ordered by size — the server-side
-// counterpart of the table cmd/covertime used to assemble client-side.
-func walkSweepTables(spec *SweepSpec, points []SweepPointResult) []*sim.Table {
+// processSweepTables renders one table per (process, family, k) slice
+// of a process sweep, rows ordered by size — the server-side counterpart
+// of the table cmd/covertime used to assemble client-side.
+func processSweepTables(points []SweepPointResult) []*sim.Table {
 	type slice struct {
 		process string
 		family  string
@@ -688,14 +616,9 @@ func walkSweepTables(spec *SweepSpec, points []SweepPointResult) []*sim.Table {
 	}
 	var tables []*sim.Table
 	for _, s := range orderIdx {
-		var title string
-		switch {
-		case s.process != "" && s.k != 0:
+		title := fmt.Sprintf("%s sweep: %s", s.process, s.family)
+		if s.k != 0 {
 			title = fmt.Sprintf("%s sweep (k=%d): %s", s.process, s.k, s.family)
-		case s.process != "":
-			title = fmt.Sprintf("%s sweep: %s", s.process, s.family)
-		default:
-			title = fmt.Sprintf("%d-cobra %s sweep: %s", s.k, spec.Child, s.family)
 		}
 		tb := sim.NewTable(title, "size", "n", "m", "mean", "95% CI", "max")
 		for _, p := range rows[s] {

@@ -7,20 +7,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/process"
 	"repro/internal/store"
 )
 
 func TestSweepSpecValidation(t *testing.T) {
 	cases := []*SweepSpec{
 		{Child: "teleport", Sizes: []int{8}, K: 2, Trials: 1},
-		{Child: "covertime", K: 2, Trials: 1},                                   // no family, no sizes
-		{Child: "covertime", Family: "cycle", K: 2, Trials: 1},                  // no sizes
-		{Child: "covertime", Family: "cycle", Sizes: []int{8}, Trials: 1},       // no k
-		{Child: "covertime", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 0}, // child invalid
-		{Child: "covertime", Family: "cycle", Families: []string{"path"}, Sizes: []int{8}, K: 2, Trials: 1},
-		{Child: "covertime", Family: "cycle", Sizes: []int{8}, K: 2, Ks: []int{2}, Trials: 1},
-		{Child: "covertime", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 1, IDs: []string{"E1"}},
-		{Child: "covertime", Family: "wormhole:3", Sizes: []int{8}, K: 2, Trials: 1}, // bad family
+		{Child: "process", Process: "cobra", K: 2, Trials: 1},                                   // no family, no sizes
+		{Child: "process", Process: "cobra", Family: "cycle", K: 2, Trials: 1},                  // no sizes
+		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, Trials: 1},       // no k
+		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 0}, // child invalid
+		{Child: "process", Process: "cobra", Family: "cycle", Families: []string{"path"}, Sizes: []int{8}, K: 2, Trials: 1},
+		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Ks: []int{2}, Trials: 1},
+		{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8}, K: 2, Trials: 1, IDs: []string{"E1"}},
+		{Child: "process", Process: "cobra", Family: "wormhole:3", Sizes: []int{8}, K: 2, Trials: 1}, // bad family
 		{Child: "experiment"},                                       // no ids
 		{Child: "experiment", IDs: []string{"E999"}},                // unknown experiment
 		{Child: "experiment", IDs: []string{"E1"}, Sizes: []int{8}}, // grid field on experiment sweep
@@ -31,7 +32,7 @@ func TestSweepSpecValidation(t *testing.T) {
 		}
 	}
 
-	ok := &SweepSpec{Child: "covertime", Family: "cycle", Sizes: []int{8, 16}, K: 2, Trials: 2, Seed: 1}
+	ok := &SweepSpec{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{8, 16}, K: 2, Trials: 2, Seed: 1}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid sweep rejected: %v", err)
 	}
@@ -39,9 +40,8 @@ func TestSweepSpecValidation(t *testing.T) {
 
 // TestSweepMatchesClientSideLoop is the sweep-equivalence acceptance
 // test: a server-side sweep must produce, point for point and value for
-// value, exactly what the historical client-side loop produced by
-// submitting one CoverTimeSpec per size with the documented seed
-// discipline.
+// value, exactly what a client-side loop produces by submitting one
+// cobra ProcessSpec per size with the documented seed discipline.
 func TestSweepMatchesClientSideLoop(t *testing.T) {
 	const (
 		family = "grid:2"
@@ -53,7 +53,7 @@ func TestSweepMatchesClientSideLoop(t *testing.T) {
 
 	sweepEng := New(Options{Workers: 2})
 	defer shutdown(t, sweepEng)
-	sweep := &SweepSpec{Child: "covertime", Family: family, Sizes: sizes, K: k, Trials: trials, Seed: seed}
+	sweep := &SweepSpec{Child: "process", Process: "cobra", Family: family, Sizes: sizes, K: k, Trials: trials, Seed: seed}
 	out, err := sweepEng.RunSync(context.Background(), sweep)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -62,8 +62,7 @@ func TestSweepMatchesClientSideLoop(t *testing.T) {
 		t.Fatalf("sweep returned %d points, want %d", len(out.Points), len(sizes))
 	}
 
-	// The client-side loop, exactly as cmd/covertime ran it before
-	// sweeps moved server-side (separate engine: no shared cache).
+	// The client-side loop (separate engine: no shared cache).
 	loopEng := New(Options{Workers: 1})
 	defer shutdown(t, loopEng)
 	pts, err := sweep.points()
@@ -105,7 +104,7 @@ func TestSweepGridFanOut(t *testing.T) {
 	sizes := []int{6, 8, 10}
 	ks := []int{1, 2}
 	j, err := e.Submit(&SweepSpec{
-		Child: "cobra", Family: "cycle", Sizes: sizes, Ks: ks, Trials: 2, Seed: 3,
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: sizes, Ks: ks, Trials: 2, Seed: 3,
 	}, 0)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -190,7 +189,7 @@ func TestSweepCancellationPropagatesToChildren(t *testing.T) {
 		t.Fatalf("park worker: %v", err)
 	}
 	j, err := e.Submit(&SweepSpec{
-		Child: "covertime", Family: "cycle", Sizes: []int{64, 128, 256}, K: 2, Trials: 500, Seed: 9,
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{64, 128, 256}, K: 2, Trials: 500, Seed: 9,
 	}, 0)
 	if err != nil {
 		t.Fatalf("submit sweep: %v", err)
@@ -220,7 +219,7 @@ func TestSweepDedupesPointsThroughStore(t *testing.T) {
 		t.Fatalf("open store: %v", err)
 	}
 	e1 := New(Options{Workers: 2, Store: st1})
-	small := &SweepSpec{Child: "covertime", Family: "cycle", Sizes: []int{6, 8}, K: 2, Trials: 3, Seed: 11}
+	small := &SweepSpec{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{6, 8}, K: 2, Trials: 3, Seed: 11}
 	if _, err := e1.RunSync(context.Background(), small); err != nil {
 		t.Fatalf("small sweep: %v", err)
 	}
@@ -235,7 +234,7 @@ func TestSweepDedupesPointsThroughStore(t *testing.T) {
 	}
 	e2 := New(Options{Workers: 2, Store: st2})
 	defer shutdown(t, e2)
-	grown := &SweepSpec{Child: "covertime", Family: "cycle", Sizes: []int{6, 8, 10}, K: 2, Trials: 3, Seed: 11}
+	grown := &SweepSpec{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{6, 8, 10}, K: 2, Trials: 3, Seed: 11}
 	j, err := e2.Submit(grown, 0)
 	if err != nil {
 		t.Fatalf("grown sweep: %v", err)
@@ -257,7 +256,7 @@ func TestSweepDedupesPointsThroughStore(t *testing.T) {
 	}
 
 	// And resubmitting the identical grown sweep is a parent-level hit.
-	again, err := e2.Submit(&SweepSpec{Child: "covertime", Family: "cycle", Sizes: []int{6, 8, 10}, K: 2, Trials: 3, Seed: 11}, 0)
+	again, err := e2.Submit(&SweepSpec{Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{6, 8, 10}, K: 2, Trials: 3, Seed: 11}, 0)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
@@ -272,7 +271,7 @@ func TestSweepDedupesPointsThroughStore(t *testing.T) {
 func TestSweepSurvivesDaemonRestartAsParentCacheHit(t *testing.T) {
 	dir := t.TempDir()
 	spec := func() *SweepSpec {
-		return &SweepSpec{Child: "covertime", Family: "path", Sizes: []int{6, 9}, K: 2, Trials: 2, Seed: 21}
+		return &SweepSpec{Child: "process", Process: "cobra", Family: "path", Sizes: []int{6, 9}, K: 2, Trials: 2, Seed: 21}
 	}
 	st1, err := store.Open(dir)
 	if err != nil {
@@ -320,10 +319,10 @@ func TestSweepSurvivesDaemonRestartAsParentCacheHit(t *testing.T) {
 func TestSweepFailurePropagates(t *testing.T) {
 	e := New(Options{Workers: 2})
 	defer shutdown(t, e)
-	// Size 4 is a 2x? grid... use a start vertex trick instead: MaxSteps
-	// 1 cannot cover a 64-cycle, so the point errors out.
+	// A one-round cap cannot cover a 64-cycle, so that point errors out.
 	j, err := e.Submit(&SweepSpec{
-		Child: "covertime", Family: "cycle", Sizes: []int{4, 64}, K: 1, Trials: 1, Seed: 1, MaxSteps: 1,
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{4, 64}, K: 1, Trials: 1, Seed: 1,
+		Params: process.Params{"max_steps": 1.0},
 	}, 0)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -345,7 +344,7 @@ func TestSweepLargerThanQueueCompletes(t *testing.T) {
 
 	sizes := []int{5, 6, 7, 8, 9, 10}
 	out, err := e.RunSync(context.Background(), &SweepSpec{
-		Child: "covertime", Family: "cycle", Sizes: sizes, K: 2, Trials: 2, Seed: 13,
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: sizes, K: 2, Trials: 2, Seed: 13,
 	})
 	if err != nil {
 		t.Fatalf("oversized sweep failed: %v", err)
@@ -373,7 +372,7 @@ func TestSweepFailsFastWhenChildCanceled(t *testing.T) {
 		t.Fatalf("park worker: %v", err)
 	}
 	j, err := e.Submit(&SweepSpec{
-		Child: "covertime", Family: "cycle", Sizes: []int{6, 8, 10}, K: 2, Trials: 2, Seed: 7,
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{6, 8, 10}, K: 2, Trials: 2, Seed: 7,
 	}, 0)
 	if err != nil {
 		t.Fatalf("submit sweep: %v", err)
@@ -413,7 +412,7 @@ func TestSweepShutdownRace(t *testing.T) {
 	e := New(Options{Workers: 2})
 	for i := 0; i < 4; i++ {
 		if _, err := e.Submit(&SweepSpec{
-			Child: "covertime", Family: "cycle", Sizes: []int{6, 8}, K: 2, Trials: 2, Seed: uint64(i),
+			Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{6, 8}, K: 2, Trials: 2, Seed: uint64(i),
 		}, 0); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -29,13 +29,6 @@ type Graph struct {
 	regDeg   int32
 	degPow2  bool
 
-	// Alias table for O(1) uniform neighbor draws on irregular graphs,
-	// built on first use (typically the first dense walk step) and
-	// shared by every walk on the graph. Guarded by aliasOnce because
-	// parallel trials request it concurrently.
-	aliasOnce sync.Once
-	alias     *AliasTable
-
 	// Power-of-two-padded copy of adj for the dense regular-graph
 	// kernels, built on first use and shared by every walk on the
 	// graph: padding the length to a power of two lets the kernels
@@ -52,16 +45,6 @@ type Graph struct {
 	// applies. Empty (not nil) marks "built, too wide".
 	adjPad16Once sync.Once
 	adjPad16     []uint16
-}
-
-// Alias returns the graph's Walker alias table for O(1) uniform neighbor
-// sampling (see AliasTable), building it on first call. The build is
-// O(n + m) and happens once per graph; concurrent callers share one
-// table. Regular graphs do not need it — the walk kernels use the
-// mask/multiply fast paths instead — but it is valid for any graph.
-func (g *Graph) Alias() *AliasTable {
-	g.aliasOnce.Do(func() { g.alias = BuildAliasTable(g) })
-	return g.alias
 }
 
 // AdjPow2 returns the adjacency array padded with zeros to the next

@@ -21,8 +21,6 @@ func init() {
 			{Name: "max_steps", Type: "int", Default: 0, Min: limit(0), Doc: "per-trial round cap; 0 selects the core default"},
 			{Name: "start", Type: "int", Default: 0, Min: limit(0), Doc: "start vertex"},
 			{Name: "dense_theta", Type: "int", Default: 0, Doc: "frontier size at which the dense kernel takes over; 0 selects the core default, negative pins the byte-stable sparse kernel"},
-			{Name: "alias", Type: "bool", Default: false, Doc: "route irregular dense rounds through the graph's Walker alias table instead of the default offset/multiply sampler"},
-			{Name: "eager_frontier", Type: "bool", Default: false, Doc: "maintain the explicit active list every round instead of the default frontier-bitset-only mode"},
 		},
 		results: uniformResults("per-trial rounds to reach the coverage target",
 			ResultField{Name: "messages_mean", Kind: "summary", Doc: "mean neighbor samples drawn per trial"}),
@@ -39,17 +37,15 @@ func init() {
 			{Name: "max_steps", Type: "int", Default: 0, Min: limit(0), Doc: "per-trial round cap; 0 selects the core default"},
 			{Name: "start", Type: "int", Default: 0, Min: limit(0), Doc: "start vertex"},
 			{Name: "dense_theta", Type: "int", Default: 0, Doc: "frontier size at which the dense kernel takes over; 0 selects the core default, negative pins the sparse kernel"},
-			{Name: "alias", Type: "bool", Default: false, Doc: "route irregular dense rounds through the graph's Walker alias table instead of the default offset/multiply sampler"},
 		},
 		results: uniformResults("per-trial rounds to cover the graph"),
 	}})
 }
 
-// cobraProcess adapts core.Walk to the Process contract. Its draw
-// sequence is identical, trial for trial, to the historical
-// CoverTimeSpec/CobraWalkSpec run paths: one pooled Walk per worker,
-// SetRand + Reset per trial — which is what keeps cmd/covertime output
-// byte-identical through the ProcessSpec path.
+// cobraProcess adapts core.Walk to the Process contract: one pooled Walk
+// per worker, SetRand + Reset per trial, so every trial's draw sequence
+// is that of a freshly built walk on the trial's stream. cmd/covertime
+// runs its sweeps through this process.
 type cobraProcess struct{ base }
 
 func (c cobraProcess) Validate(p Params) error {
@@ -75,11 +71,9 @@ func (c cobraProcess) Run(ctx context.Context, r Run) (*Result, error) {
 	values, err := sim.RunTrialsPooledContext(ctx, r.Trials, r.Seed,
 		func() sim.TrialFunc {
 			w := core.New(r.Graph, core.Config{
-				K:             k,
-				MaxSteps:      r.Params.Int("max_steps", 0),
-				DenseTheta:    r.Params.Int("dense_theta", 0),
-				UseAlias:      r.Params.Bool("alias", false),
-				EagerFrontier: r.Params.Bool("eager_frontier", false),
+				K:          k,
+				MaxSteps:   r.Params.Int("max_steps", 0),
+				DenseTheta: r.Params.Int("dense_theta", 0),
 			}, rng.New(0))
 			var frontier []int32 // traced-trial scratch
 			return func(trial int, src *rng.Source) (float64, error) {
@@ -175,7 +169,6 @@ func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
 				if w == nil {
 					w = core.NewGeneral(r.Graph, branch, maxSteps, src)
 					w.SetDenseTheta(r.Params.Int("dense_theta", 0))
-					w.SetUseAlias(r.Params.Bool("alias", false))
 				}
 				w.Reset(start)
 				var steps int

@@ -240,7 +240,7 @@ func TestEventsLastEventIDResumes(t *testing.T) {
 func TestTracePropagation(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 1})
 
-	body := `{"kind":"covertime","spec":{"graph":"grid:2,6","k":2,"trials":2,"seed":3}}`
+	body := `{"kind":"process","spec":{"process":"cobra","graph":"grid:2,6","params":{"k":2},"trials":2,"seed":3}}`
 	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestTracePropagation(t *testing.T) {
 // matching TYPE line.
 func TestMetricsExposition(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 1})
-	job := submitCoverTime(t, ts, 1)
+	job := submitCobra(t, ts, 1)
 	pollUntilDone(t, ts, job.ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -89,10 +89,10 @@ type errorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
-// submitCoverTime posts a small deterministic cover-time job.
-func submitCoverTime(t *testing.T, ts *httptest.Server, seed int) engine.Status {
+// submitCobra posts a small deterministic cobra cover-time job.
+func submitCobra(t *testing.T, ts *httptest.Server, seed int) engine.Status {
 	t.Helper()
-	body := fmt.Sprintf(`{"kind":"covertime","spec":{"graph":"grid:2,6","k":2,"trials":4,"seed":%d}}`, seed)
+	body := fmt.Sprintf(`{"kind":"process","spec":{"process":"cobra","graph":"grid:2,6","params":{"k":2},"trials":4,"seed":%d}}`, seed)
 	var env jobEnvelope
 	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", body, &env); code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
@@ -121,8 +121,8 @@ func pollUntilDone(t *testing.T, ts *httptest.Server, id string) engine.Status {
 func TestSubmitPollResultRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 2})
 
-	job := submitCoverTime(t, ts, 1)
-	if job.ID == "" || job.Kind != "covertime" {
+	job := submitCobra(t, ts, 1)
+	if job.ID == "" || job.Kind != "process" {
 		t.Fatalf("submitted job = %+v", job)
 	}
 	final := pollUntilDone(t, ts, job.ID)
@@ -151,14 +151,14 @@ func TestSubmitPollResultRoundTrip(t *testing.T) {
 func TestResubmitServesCacheHitWithIdenticalResult(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 2})
 
-	first := submitCoverTime(t, ts, 99)
+	first := submitCobra(t, ts, 99)
 	if pollUntilDone(t, ts, first.ID).State != engine.Done {
 		t.Fatal("first submission failed")
 	}
 	var firstRes resultEnvelope
 	doJSON(t, "GET", ts.URL+"/v1/jobs/"+first.ID+"/result", "", &firstRes)
 
-	second := submitCoverTime(t, ts, 99)
+	second := submitCobra(t, ts, 99)
 	if second.State != engine.Done || !second.CacheHit {
 		t.Fatalf("resubmission = %+v, want immediate cached done", second)
 	}
@@ -179,7 +179,7 @@ func TestResubmitServesCacheHitWithIdenticalResult(t *testing.T) {
 	}
 
 	// A different seed is a different fingerprint: no cache hit.
-	third := submitCoverTime(t, ts, 100)
+	third := submitCobra(t, ts, 100)
 	if third.CacheHit {
 		t.Errorf("distinct spec served from cache")
 	}
@@ -194,7 +194,7 @@ func TestResultBeforeCompletionConflicts(t *testing.T) {
 	if _, err := eng.Submit(&blockSpec{Name: "parked", release: release}, 10); err != nil {
 		t.Fatalf("park worker: %v", err)
 	}
-	job := submitCoverTime(t, ts, 5) // queued behind the parked job
+	job := submitCobra(t, ts, 5) // queued behind the parked job
 	var errBody errorEnvelope
 	if code := doJSON(t, "GET", ts.URL+"/v1/jobs/"+job.ID+"/result", "", &errBody); code != http.StatusConflict {
 		t.Fatalf("early result status = %d, want 409", code)
@@ -212,7 +212,7 @@ func TestCancelEndpoint(t *testing.T) {
 	if _, err := eng.Submit(&blockSpec{Name: "parked", release: release}, 10); err != nil {
 		t.Fatalf("park worker: %v", err)
 	}
-	job := submitCoverTime(t, ts, 6)
+	job := submitCobra(t, ts, 6)
 
 	var cancelResp map[string]interface{}
 	if code := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+job.ID, "", &cancelResp); code != http.StatusOK {
@@ -235,8 +235,8 @@ func TestCancelEndpoint(t *testing.T) {
 
 func TestListJobs(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 2})
-	a := submitCoverTime(t, ts, 1)
-	b := submitCoverTime(t, ts, 2)
+	a := submitCobra(t, ts, 1)
+	b := submitCobra(t, ts, 2)
 	pollUntilDone(t, ts, a.ID)
 	pollUntilDone(t, ts, b.ID)
 
@@ -263,9 +263,10 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"malformed json", `{`, http.StatusBadRequest},
 		{"unknown kind", `{"kind":"teleport","spec":{}}`, http.StatusBadRequest},
-		{"missing spec", `{"kind":"covertime"}`, http.StatusBadRequest},
-		{"invalid spec", `{"kind":"covertime","spec":{"graph":"cycle:8","k":0,"trials":1,"seed":1}}`, http.StatusBadRequest},
-		{"unknown spec field", `{"kind":"covertime","spec":{"graph":"cycle:8","k":2,"trials":1,"seed":1,"bogus":1}}`, http.StatusBadRequest},
+		{"retired kind", `{"kind":"covertime","spec":{"graph":"cycle:8","k":2,"trials":1,"seed":1}}`, http.StatusBadRequest},
+		{"missing spec", `{"kind":"process"}`, http.StatusBadRequest},
+		{"invalid spec", `{"kind":"process","spec":{"process":"cobra","graph":"cycle:8","params":{"k":0},"trials":1,"seed":1}}`, http.StatusBadRequest},
+		{"unknown spec field", `{"kind":"process","spec":{"process":"cobra","graph":"cycle:8","params":{"k":2},"trials":1,"seed":1,"bogus":1}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		var errBody errorEnvelope
@@ -369,7 +370,7 @@ func TestListJobsStatusFilter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("park worker: %v", err)
 	}
-	done := submitCoverTime(t, ts, 31)
+	done := submitCobra(t, ts, 31)
 	close(release)
 	pollUntilDone(t, ts, done.ID)
 	pollUntilDone(t, ts, blocked.ID())
@@ -409,7 +410,7 @@ func TestQueueFullReturns503(t *testing.T) {
 	// Fill the single queue slot, then the next submission must be shed.
 	codes := []int{}
 	for i := 0; i < 3; i++ {
-		body := fmt.Sprintf(`{"kind":"covertime","spec":{"graph":"grid:2,6","k":2,"trials":4,"seed":%d}}`, 50+i)
+		body := fmt.Sprintf(`{"kind":"process","spec":{"process":"cobra","graph":"grid:2,6","params":{"k":2},"trials":4,"seed":%d}}`, 50+i)
 		codes = append(codes, doJSON(t, "POST", ts.URL+"/v1/jobs", body, nil))
 	}
 	found503 := false
@@ -434,9 +435,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Errorf("healthz = %v", health)
 	}
 
-	job := submitCoverTime(t, ts, 1)
+	job := submitCobra(t, ts, 1)
 	pollUntilDone(t, ts, job.ID)
-	submitCoverTime(t, ts, 1) // cache hit
+	submitCobra(t, ts, 1) // cache hit
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

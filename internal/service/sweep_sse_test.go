@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/process"
 	"repro/internal/rng"
 	"repro/internal/store"
 )
@@ -77,7 +78,7 @@ func readSSE(t *testing.T, url string) []engine.Status {
 func TestEventsStreamPointJob(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 1})
 
-	body := `{"kind":"covertime","spec":{"graph":"grid:2,8","k":2,"trials":16,"seed":7}}`
+	body := `{"kind":"process","spec":{"process":"cobra","graph":"grid:2,8","params":{"k":2},"trials":16,"seed":7}}`
 	var env jobEnvelope
 	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", body, &env); code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
@@ -102,7 +103,7 @@ func TestEventsStreamPointJob(t *testing.T) {
 
 func TestEventsStreamOnFinishedJobEmitsTerminalAndCloses(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 1})
-	job := submitCoverTime(t, ts, 3)
+	job := submitCobra(t, ts, 3)
 	pollUntilDone(t, ts, job.ID)
 	statuses := readSSE(t, ts.URL+"/v1/jobs/"+job.ID+"/events")
 	if len(statuses) != 1 || statuses[0].State != engine.Done {
@@ -135,7 +136,7 @@ func TestSweepOverHTTPWithSSEProgress(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 2})
 
 	// 2 ks x 6 sizes = 12 points.
-	spec := `{"child":"covertime","family":"cycle","sizes":[6,8,10,12,14,16],"ks":[1,2],"trials":3,"seed":17}`
+	spec := `{"child":"process","process":"cobra","family":"cycle","sizes":[6,8,10,12,14,16],"ks":[1,2],"trials":3,"seed":17}`
 	var env sweepEnvelope
 	if code := doJSON(t, "POST", ts.URL+"/v1/sweeps", `{"spec":`+spec+`}`, &env); code != http.StatusAccepted {
 		t.Fatalf("submit sweep status = %d, want 202", code)
@@ -192,10 +193,11 @@ func TestSweepOverHTTPWithSSEProgress(t *testing.T) {
 		t.Fatalf("decode sweep spec: %v", err)
 	}
 	for i, p := range res.Result.Points {
-		direct, err := loopEng.RunSync(context.Background(), &engine.CoverTimeSpec{
+		direct, err := loopEng.RunSync(context.Background(), &engine.ProcessSpec{
+			Process:   "cobra",
 			Graph:     p.Graph,
 			GraphSeed: graphSeedForPoint(sweepSpec.Seed, i%len(sweepSpec.Sizes)),
-			K:         p.K,
+			Params:    process.Params{"k": float64(p.K)},
 			Trials:    sweepSpec.Trials,
 			Seed:      trialSeedForPoint(sweepSpec.Seed, i),
 		})
@@ -215,7 +217,7 @@ func TestSweepOverHTTPWithSSEProgress(t *testing.T) {
 // store by a fresh instance sharing the data directory.
 func TestSweepSurvivesServerRestart(t *testing.T) {
 	dir := t.TempDir()
-	spec := `{"child":"covertime","family":"path","sizes":[6,8,10],"ks":[1,2],"trials":2,"seed":23}`
+	spec := `{"child":"process","process":"cobra","family":"path","sizes":[6,8,10],"ks":[1,2],"trials":2,"seed":23}`
 
 	run := func(warm bool) (engine.Status, *engine.Output) {
 		st, err := store.Open(dir)
@@ -267,8 +269,8 @@ func TestSweepBadRequests(t *testing.T) {
 		{"malformed json", `{`},
 		{"missing spec", `{}`},
 		{"unknown child", `{"spec":{"child":"teleport","sizes":[8],"k":1,"trials":1}}`},
-		{"empty grid", `{"spec":{"child":"covertime","family":"cycle","k":2,"trials":1}}`},
-		{"unknown field", `{"spec":{"child":"covertime","family":"cycle","sizes":[8],"k":2,"trials":1,"bogus":1}}`},
+		{"empty grid", `{"spec":{"child":"process","process":"cobra","family":"cycle","k":2,"trials":1}}`},
+		{"unknown field", `{"spec":{"child":"process","process":"cobra","family":"cycle","sizes":[8],"k":2,"trials":1,"bogus":1}}`},
 	}
 	for _, c := range cases {
 		var errBody errorEnvelope
@@ -278,7 +280,7 @@ func TestSweepBadRequests(t *testing.T) {
 	}
 
 	// /v1/sweeps/{id} on a non-sweep job is a 404.
-	job := submitCoverTime(t, ts, 1)
+	job := submitCobra(t, ts, 1)
 	pollUntilDone(t, ts, job.ID)
 	if code := doJSON(t, "GET", ts.URL+"/v1/sweeps/"+job.ID, "", &errorEnvelope{}); code != http.StatusNotFound {
 		t.Errorf("sweep view of point job = %d, want 404", code)
@@ -292,7 +294,7 @@ func TestSweepBadRequests(t *testing.T) {
 // equivalent to the dedicated endpoint.
 func TestSweepAsJobKind(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 2})
-	body := `{"kind":"sweep","spec":{"child":"covertime","family":"cycle","sizes":[6,8],"k":2,"trials":2,"seed":5}}`
+	body := `{"kind":"sweep","spec":{"child":"process","process":"cobra","family":"cycle","sizes":[6,8],"k":2,"trials":2,"seed":5}}`
 	var env jobEnvelope
 	if code := doJSON(t, "POST", ts.URL+"/v1/jobs", body, &env); code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,7 +16,7 @@ var ErrLeaseLost = errors.New("store: lease lost")
 // Lease is one advisory claim over a key, shared by every process
 // using the same store directory. A lease is held by exactly one
 // holder until it expires or is released; an expired lease may be
-// reclaimed by any other holder through a compare-and-swap steal.
+// reclaimed by any other holder.
 //
 // Leases are a work-saving mechanism, not a correctness mechanism: the
 // records they guard are content-addressed and deterministic, so the
@@ -53,8 +52,22 @@ func (s *Store) leasePath(key string) string {
 	return filepath.Join(s.leasesDir(), key+".json")
 }
 
-// stealSeq disambiguates concurrent steal tombstones within a process.
-var stealSeq atomic.Int64
+// lockLeases serializes lease mutations across every Store over the
+// directory: leaseMu orders this Store's goroutines, and an exclusive
+// flock(2) on the shared lock file (where the platform has one) orders
+// them against other Store instances and other processes. Under the
+// lock a lease operation is a plain read-check-write.
+func (s *Store) lockLeases() (unlock func(), err error) {
+	s.leaseMu.Lock()
+	if err := flockFile(s.leaseLock); err != nil {
+		s.leaseMu.Unlock()
+		return nil, fmt.Errorf("store: lock leases: %w", err)
+	}
+	return func() {
+		funlockFile(s.leaseLock)
+		s.leaseMu.Unlock()
+	}, nil
+}
 
 // AcquireLease attempts to claim key for holder with the given TTL.
 // On success it returns the new lease and acquired=true. If an
@@ -63,14 +76,8 @@ var stealSeq atomic.Int64
 // counter, so a second acquire by the same node (two workers racing on
 // one fingerprint) is refused rather than granted, and the loser waits
 // for the stored result like any other contender. An expired (or
-// unreadable) lease is reclaimed with a rename-based compare-and-swap:
-// exactly one contender steals it, and losers observe acquired=false.
-// Holders extend a live lease with RenewLease, never by re-acquiring.
-//
-// The create itself is atomic across processes: the lease record is
-// staged in the tmp area and published with link(2), which fails if
-// the lease file already exists, so two nodes racing on a free key
-// cannot both win.
+// unreadable) lease is reclaimed. Holders extend a live lease with
+// RenewLease, never by re-acquiring.
 func (s *Store) AcquireLease(key, holder string, ttl time.Duration) (Lease, bool, error) {
 	if len(key) < 3 {
 		return Lease{}, false, fmt.Errorf("store: lease key %q too short", key)
@@ -81,40 +88,21 @@ func (s *Store) AcquireLease(key, holder string, ttl time.Duration) (Lease, bool
 	if ttl <= 0 {
 		return Lease{}, false, fmt.Errorf("store: lease ttl must be positive")
 	}
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	// Two attempts: a fresh claim, and — when the first finds an
-	// expired lease and wins the steal race — the claim of the freed
-	// key. A second failure means another contender won; report theirs.
-	for attempt := 0; attempt < 2; attempt++ {
-		now := time.Now().UTC()
-		lease := Lease{Key: key, Holder: holder, AcquiredAt: now,
-			ExpiresAt: now.Add(ttl), Token: now.UnixNano()}
-		created, err := s.createLease(lease)
-		if err != nil {
-			return Lease{}, false, err
-		}
-		if created {
-			return lease, true, nil
-		}
-		cur, ok := s.readLease(key)
-		if !ok {
-			// The lease vanished between the failed create and the
-			// read (released or stolen-and-reclaimed); retry.
-			continue
-		}
-		if !cur.Expired(now) {
-			return cur, false, nil
-		}
-		if !s.stealLease(key) {
-			// Another contender renamed the expired lease away first
-			// (or the holder released it); report not-acquired and let
-			// the caller retry on its own schedule.
-			return cur, false, nil
-		}
+	unlock, err := s.lockLeases()
+	if err != nil {
+		return Lease{}, false, err
 	}
-	cur, _ := s.readLease(key)
-	return cur, false, nil
+	defer unlock()
+	now := time.Now().UTC()
+	if cur, ok := s.readLease(key); ok && !cur.Expired(now) {
+		return cur, false, nil
+	}
+	lease := Lease{Key: key, Holder: holder, AcquiredAt: now,
+		ExpiresAt: now.Add(ttl), Token: now.UnixNano()}
+	if err := s.writeLease(lease); err != nil {
+		return Lease{}, false, err
+	}
+	return lease, true, nil
 }
 
 // RenewLease extends the expiry of a lease the caller currently holds.
@@ -122,6 +110,11 @@ func (s *Store) AcquireLease(key, holder string, ttl time.Duration) (Lease, bool
 // else, or already expired — a holder that let its lease lapse must
 // not resurrect it from under a reclaimer.
 func (s *Store) RenewLease(key, holder string, ttl time.Duration) (Lease, error) {
+	unlock, err := s.lockLeases()
+	if err != nil {
+		return Lease{}, err
+	}
+	defer unlock()
 	cur, ok := s.readLease(key)
 	if !ok || cur.Holder != holder {
 		return Lease{}, ErrLeaseLost
@@ -142,11 +135,16 @@ func (s *Store) RenewLease(key, holder string, ttl time.Duration) (Lease, error)
 // caller does not hold is a no-op, so a holder that lost its lease to
 // a reclaimer cannot delete the reclaimer's claim.
 func (s *Store) ReleaseLease(key, holder string) error {
+	unlock, err := s.lockLeases()
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	cur, ok := s.readLease(key)
 	if !ok || cur.Holder != holder {
 		return nil
 	}
-	err := os.Remove(s.leasePath(key))
+	err = os.Remove(s.leasePath(key))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: release lease %s: %w", key, err)
 	}
@@ -160,10 +158,9 @@ func (s *Store) Lease(key string) (Lease, bool) {
 }
 
 // readLease loads one lease record. A corrupt or truncated file (a
-// crashed writer, a torn read) decodes to a zero lease whose ExpiresAt
-// is the zero time — i.e. long expired — so corruption degrades to a
-// reclaimable lease, mirroring how corrupt result records degrade to
-// cache misses.
+// crashed writer) decodes to a zero lease whose ExpiresAt is the zero
+// time — i.e. long expired — so corruption degrades to a reclaimable
+// lease, mirroring how corrupt result records degrade to cache misses.
 func (s *Store) readLease(key string) (Lease, bool) {
 	data, err := os.ReadFile(s.leasePath(key))
 	if err != nil {
@@ -176,43 +173,8 @@ func (s *Store) readLease(key string) (Lease, bool) {
 	return l, true
 }
 
-// createLease publishes a lease record if and only if no lease file
-// exists: write the full record to the staging area, then link(2) it
-// to the final path. Link fails with EEXIST when a lease is already
-// present, making create-if-absent atomic across processes — and the
-// published file is always complete, since it was fully written before
-// it became visible.
-func (s *Store) createLease(l Lease) (bool, error) {
-	data, err := json.Marshal(l)
-	if err != nil {
-		return false, fmt.Errorf("store: marshal lease %s: %w", l.Key, err)
-	}
-	tmp, err := os.CreateTemp(s.tmpDir(), "lease-*.tmp")
-	if err != nil {
-		return false, fmt.Errorf("store: stage lease %s: %w", l.Key, err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return false, fmt.Errorf("store: write lease %s: %w", l.Key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return false, fmt.Errorf("store: close lease %s: %w", l.Key, err)
-	}
-	err = os.Link(tmpName, s.leasePath(l.Key))
-	if err == nil {
-		return true, nil
-	}
-	if os.IsExist(err) {
-		return false, nil
-	}
-	return false, fmt.Errorf("store: publish lease %s: %w", l.Key, err)
-}
-
-// writeLease overwrites a lease record atomically (temp + rename).
-// Only the current holder calls this, so the overwrite never races a
-// concurrent writer of a live lease.
+// writeLease publishes a lease record atomically (temp + rename), so
+// readers outside the lease lock never see a partial record.
 func (s *Store) writeLease(l Lease) error {
 	data, err := json.Marshal(l)
 	if err != nil {
@@ -237,19 +199,4 @@ func (s *Store) writeLease(l Lease) error {
 		return fmt.Errorf("store: commit lease %s: %w", l.Key, err)
 	}
 	return nil
-}
-
-// stealLease removes an expired lease with compare-and-swap semantics:
-// rename the lease file to a process-unique tombstone. rename(2) is
-// atomic, so of any number of concurrent stealers exactly one
-// succeeds; the rest observe ENOENT and report failure. The winner
-// then competes for the freed key through the normal create path.
-func (s *Store) stealLease(key string) bool {
-	tomb := filepath.Join(s.tmpDir(),
-		fmt.Sprintf("lease-steal-%d-%d.tomb", os.Getpid(), stealSeq.Add(1)))
-	if err := os.Rename(s.leasePath(key), tomb); err != nil {
-		return false
-	}
-	os.Remove(tomb)
-	return true
 }

@@ -54,17 +54,12 @@ type Store struct {
 	evicted int64
 	skipped int
 
-	// leaseMu serializes lease acquisition within this Store instance.
-	// The filesystem protocol (link create, rename steal) arbitrates
-	// between processes, but its expired-lease steal is a read-then-
-	// rename: a contender descheduled between the two can rename away a
-	// lease that was stolen and re-granted in the gap, crowning two
-	// winners. In-process contenders — every worker of one daemon, and
-	// every remote claimant arbitrated by a coordinator's Server —
-	// share this mutex, so the read-steal-create sequence is atomic for
-	// them and the race is confined to independent processes sharing a
-	// data dir, where claim attempts are spread over poll intervals.
-	leaseMu sync.Mutex
+	// leaseMu and leaseLock (an open handle on leases/.lock) together
+	// make every lease read-check-write atomic: leaseMu among this
+	// Store's goroutines, a flock(2) on leaseLock among Store instances
+	// and processes sharing the directory (see lockLeases).
+	leaseMu   sync.Mutex
+	leaseLock *os.File
 }
 
 // Open creates (if needed) and scans a store rooted at dir. The scan is
@@ -113,6 +108,13 @@ func Open(dir string) (*Store, error) {
 			s.keys[key] = meta
 		}
 	}
+	// Opened last, so no error return above leaks it; the handle lives
+	// as long as the Store.
+	lock, err := os.OpenFile(filepath.Join(s.leasesDir(), ".lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
+	}
+	s.leaseLock = lock
 	return s, nil
 }
 
