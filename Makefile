@@ -34,9 +34,9 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench '$(MICROBENCH)' -count 5 . > BENCH_$$(date -u +%Y-%m-%d).txt
 
 # Regression gate: hold the gated medians (CobraStepExpander,
-# GraphResolveWarm) to within 15% of the newest committed
-# BENCH_<date>.txt. CI runs this; BENCHTIME=2s tightens the measurement
-# locally.
+# GraphResolveWarm, GraphBuildRegular) to within 15% of the newest
+# committed BENCH_<date>.txt. CI runs this; BENCHTIME=2s tightens the
+# measurement locally.
 bench-gate:
 	./scripts/bench_gate.sh
 

@@ -226,24 +226,6 @@ func BenchmarkWaltStepSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkCobraCoverNoActiveList measures a full expander cover on its
-// own trial streams: dense rounds keep the frontier bitset-resident and
-// never materialize the active list.
-func BenchmarkCobraCoverNoActiveList(b *testing.B) {
-	g, err := RandomRegular(10000, 5, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := NewCobraWalk(g, CobraConfig{K: 2}, NewTrialRand(4, i))
-		w.Reset(0)
-		if _, ok := w.RunUntilCovered(); !ok {
-			b.Fatal("cover failed")
-		}
-	}
-}
-
 // BenchmarkGraphBuildRegular measures random 5-regular construction
 // (configuration model + repair), the dominant setup cost of expander
 // sweeps.

@@ -13,8 +13,8 @@ import (
 // Two implementations exist:
 //
 //   - *Cluster: the original shared-directory backend, where every
-//     primitive rides on the store's filesystem machinery (link(2)
-//     create-if-absent, rename CAS). Byte-for-byte today's behavior.
+//     primitive rides on the store's filesystem machinery (lease
+//     read-check-writes under an exclusive flock(2), heartbeat files).
 //   - *HTTPBackend: a network-native backend where every operation is
 //     an RPC against a coordinator's /v1/cluster/* routes, letting a
 //     runner join with no shared -data-dir at all.

@@ -149,8 +149,8 @@ func TestHTTPLeaseFencingRejectsStaleRelease(t *testing.T) {
 }
 
 // TestHTTPLeaseExpiredStealSingleWinner lets 16 concurrent claimants
-// race for a key whose lease expired: the rename-based CAS behind the
-// HTTP route must crown exactly one.
+// race for a key whose lease expired: the store's locked lease
+// read-check-write behind the HTTP route must crown exactly one.
 func TestHTTPLeaseExpiredStealSingleWinner(t *testing.T) {
 	coord := startCoordinator(t, 1)
 	base := coord.ts.URL

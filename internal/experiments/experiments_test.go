@@ -136,6 +136,18 @@ func TestE11Dominance(t *testing.T) {
 	}
 }
 
+// TestDominanceSummary pins E11's closing finding on both branches: it
+// claims dominance on all cases only when no case violated it.
+func TestDominanceSummary(t *testing.T) {
+	if got := dominanceSummary(0, 3); !strings.Contains(got, "on all cases") {
+		t.Errorf("no violations: summary %q does not claim all cases", got)
+	}
+	got := dominanceSummary(1, 3)
+	if got != "dominance violated on 1 of 3 cases" || strings.Contains(got, "all cases") {
+		t.Errorf("one violation: summary %q", got)
+	}
+}
+
 func TestE12Trees(t *testing.T) {
 	res := runQuick(t, E12Trees)
 	if !findingContains(res, "k=2") || !findingContains(res, "k=3") {

@@ -227,8 +227,9 @@ func uint16Section(data []byte, off, count int) []uint16 {
 // zero-copy graph whose pages are shared with every other process
 // mapping the same artifact, and must keep the mapping alive for the
 // graph's lifetime. DecodeBinary validates structure (bounds, offset
-// monotonicity) but not the checksum; run VerifyBinary first on bytes
-// that crossed a disk or a network.
+// monotonicity, degree metadata and narrow table against the CSR) but
+// not the checksum; run VerifyBinary first on bytes that crossed a disk
+// or a network.
 func DecodeBinary(data []byte) (*Graph, error) {
 	h, err := parseArtifactHeader(data)
 	if err != nil {
@@ -262,14 +263,38 @@ func DecodeBinary(data []byte) (*Graph, error) {
 			return nil, fmt.Errorf("graph: artifact adjacency[%d] = %d out of range [0,%d)", i, u, h.n)
 		}
 	}
+	// The kernels choose their sampling path by the degree metadata and
+	// gather from the narrow table, masking every index, so metadata
+	// that disagrees with the CSR would silently sample wrong
+	// neighbours: recompute it and accept only an exact match.
+	regDeg, degPow2 := degreeMeta(offsets)
+	if h.regDeg != regDeg || (h.flags&artifactFlagRegular != 0) != (regDeg >= 0) ||
+		(h.flags&artifactFlagDegPow2 != 0) != degPow2 {
+		return nil, fmt.Errorf("graph: artifact degree metadata (flags %#x, regDeg %d) disagrees with its offsets (regDeg %d)",
+			h.flags, h.regDeg, regDeg)
+	}
+	if narrow != nil {
+		if h.n > 1<<16 {
+			return nil, fmt.Errorf("graph: artifact carries a narrow table for %d > 65536 vertices", h.n)
+		}
+		for i, x := range narrow {
+			var want uint16 // the padding is zero
+			if i < len(adj) {
+				want = uint16(adj[i])
+			}
+			if x != want {
+				return nil, fmt.Errorf("graph: artifact narrow[%d] = %d, want %d", i, x, want)
+			}
+		}
+	}
 
 	g := &Graph{
 		offsets:  offsets,
 		adj:      adj,
 		name:     name,
 		metaDone: true,
-		regDeg:   h.regDeg,
-		degPow2:  h.flags&artifactFlagDegPow2 != 0,
+		regDeg:   regDeg,
+		degPow2:  degPow2,
 	}
 	if narrow != nil {
 		g.adjPad16Once.Do(func() { g.adjPad16 = narrow })

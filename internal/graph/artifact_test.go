@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -161,4 +162,108 @@ func TestBinaryDigestStable(t *testing.T) {
 	if a == c {
 		t.Fatal("different graphs share a digest")
 	}
+}
+
+// metadataMutation is a copy of an artifact whose header degree
+// metadata or narrow table disagrees with the CSR it carries. The
+// checksum is left stale: DecodeBinary does not check it.
+type metadataMutation struct {
+	name string
+	data []byte
+}
+
+func metadataMutations(data []byte) []metadataMutation {
+	h, err := parseArtifactHeader(data)
+	if err != nil {
+		panic(err)
+	}
+	var out []metadataMutation
+	mutate := func(name string, f func(b []byte)) {
+		b := append([]byte(nil), data...)
+		f(b)
+		out = append(out, metadataMutation{name, b})
+	}
+	mutate("regular flag flipped", func(b []byte) { b[24] ^= byte(artifactFlagRegular) })
+	mutate("pow2 flag flipped", func(b []byte) { b[24] ^= byte(artifactFlagDegPow2) })
+	mutate("regDeg off by one", func(b []byte) { b[28]++ })
+	if h.flags&artifactFlagNarrow != 0 && h.adjLen > 0 {
+		narrowOff := artifactHeaderSize + pad8(h.nameLen) + pad8((h.n+1)*4) + pad8(h.adjLen*4)
+		mutate("narrow entry changed", func(b []byte) { b[narrowOff] ^= 1 })
+		if pow2ceil(h.adjLen) > h.adjLen {
+			mutate("narrow padding set", func(b []byte) { b[len(b)-1] = 1 })
+		}
+	}
+	return out
+}
+
+// artifactSeeds are regular with a power-of-two degree, regular with
+// an odd degree, and irregular.
+func artifactSeeds() []*Graph {
+	return []*Graph{Cycle(12), MustRandomRegular(64, 3, 5), Star(9)}
+}
+
+func TestArtifactRejectsMetadataMismatch(t *testing.T) {
+	for _, g := range artifactSeeds() {
+		for _, m := range metadataMutations(EncodeBinary(g)) {
+			if _, err := DecodeBinary(m.data); err == nil {
+				t.Errorf("%s: %s accepted", g.Name(), m.name)
+			}
+		}
+	}
+
+	// Past 65536 vertices uint16(adj[i]) truncates ids, so a narrow
+	// table that matches adj entry by entry still names wrong vertices.
+	wide := Cycle(1<<16 + 1)
+	data := EncodeBinary(wide)
+	data[24] |= byte(artifactFlagNarrow)
+	narrow := make([]byte, 2*pow2ceil(len(wide.Adj())))
+	for i, v := range wide.Adj() {
+		binary.LittleEndian.PutUint16(narrow[2*i:], uint16(v))
+	}
+	if _, err := DecodeBinary(append(data, narrow...)); err == nil {
+		t.Errorf("%s: narrow table accepted", wide.Name())
+	}
+}
+
+// FuzzDecodeBinary feeds DecodeBinary arbitrary bytes. It must never
+// panic, and any graph it accepts must carry exactly the degree
+// metadata and narrow table that its own offsets and adjacency imply.
+// The seed corpus (three families plus header mutations) runs under
+// plain go test.
+func FuzzDecodeBinary(f *testing.F) {
+	for _, g := range artifactSeeds() {
+		data := EncodeBinary(g)
+		f.Add(data)
+		for _, m := range metadataMutations(data) {
+			f.Add(m.data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		ref := &Graph{
+			offsets: append([]int32(nil), g.Offsets()...),
+			adj:     append([]int32(nil), g.Adj()...),
+		}
+		ref.finalize()
+		gotReg, gotDeg := g.IsRegular()
+		wantReg, wantDeg := ref.IsRegular()
+		if gotReg != wantReg || gotDeg != wantDeg {
+			t.Fatalf("IsRegular = (%v, %d), CSR implies (%v, %d)", gotReg, gotDeg, wantReg, wantDeg)
+		}
+		if g.DegreeIsPow2() != ref.DegreeIsPow2() {
+			t.Fatalf("DegreeIsPow2 = %v, CSR implies %v", g.DegreeIsPow2(), ref.DegreeIsPow2())
+		}
+		got, want := g.AdjPow2Narrow(), ref.AdjPow2Narrow()
+		if len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("narrow table length %d (nil %v), CSR implies %d (nil %v)", len(got), got == nil, len(want), want == nil)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("narrow[%d] = %d, CSR implies %d", i, got[i], want[i])
+			}
+		}
+	})
 }

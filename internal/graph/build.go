@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates undirected edges and produces an immutable Graph.
 // Duplicate edges and self-loops are rejected at Add time where cheap and
@@ -52,66 +49,65 @@ func (b *Builder) EdgeCount() int { return len(b.us) }
 
 // Build produces the immutable CSR graph. Duplicate edges are an error
 // unless the builder is loose, in which case they are dropped.
+//
+// Two counting-sort passes lay out the adjacency in O(n+m) with no
+// comparison sort: every arc is first scattered into its target's
+// bucket, then the targets are walked in increasing order and each arc
+// is scattered into its source's bucket. Every neighbour list therefore
+// comes out sorted, with parallel copies of an edge side by side.
 func (b *Builder) Build() (*Graph, error) {
 	n := b.n
-	type edge struct{ u, v int32 }
-	edges := make([]edge, 0, len(b.us))
-	for i := range b.us {
-		u, v := b.us[i], b.vs[i]
-		if u > v {
-			u, v = v, u
-		}
-		edges = append(edges, edge{u, v})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	// Deduplicate.
-	w := 0
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			if !b.loose {
-				return nil, fmt.Errorf("graph %q: duplicate edge %d-%d", b.name, e.u, e.v)
-			}
-			continue
-		}
-		edges[w] = e
-		w++
-	}
-	edges = edges[:w]
-
 	offsets := make([]int32, n+1)
-	for _, e := range edges {
-		offsets[e.u+1]++
-		offsets[e.v+1]++
+	for i := range b.us {
+		offsets[b.us[i]+1]++
+		offsets[b.vs[i]+1]++
 	}
-	for i := int32(0); i < n; i++ {
-		offsets[i+1] += offsets[i]
+	for v := int32(0); v < n; v++ {
+		offsets[v+1] += offsets[v]
 	}
-	adj := make([]int32, 2*len(edges))
 	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
-	for _, e := range edges {
-		adj[cursor[e.u]] = e.v
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		cursor[e.v]++
+	bySrc := make([]int32, 2*len(b.us)) // bucket t holds the sources of arcs into t
+	for i, u := range b.us {
+		v := b.vs[i]
+		bySrc[cursor[v]] = u
+		cursor[v]++
+		bySrc[cursor[u]] = v
+		cursor[u]++
 	}
-	g := &Graph{offsets: offsets, adj: adj, name: b.name}
-	g.finalize()
-	// Neighbor lists are sorted because edges were processed in sorted
-	// order for the lower endpoint; the higher endpoint's list receives
-	// entries in increasing order of the lower endpoint, which is also
-	// sorted. Sort defensively anyway for generators that interleave.
-	for v := int32(0); v < n; v++ {
-		nb := adj[offsets[v]:offsets[v+1]]
-		if !sort.SliceIsSorted(nb, func(i, j int) bool { return nb[i] < nb[j] }) {
-			sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+	copy(cursor, offsets[:n])
+	adj := make([]int32, len(bySrc))
+	for t := int32(0); t < n; t++ {
+		for _, s := range bySrc[offsets[t]:offsets[t+1]] {
+			adj[cursor[s]] = t
+			cursor[s]++
 		}
 	}
+
+	// Compact duplicates in place. Scanning vertices in increasing order,
+	// the first repeat met is the lexicographically smallest duplicate
+	// edge {u, x}, u < x: a repeat with x < u would already have shown
+	// up in x's list.
+	w, lo := int32(0), int32(0)
+	for u := int32(0); u < n; u++ {
+		hi := offsets[u+1]
+		prev := int32(-1)
+		for _, x := range adj[lo:hi] {
+			if x == prev {
+				if !b.loose {
+					return nil, fmt.Errorf("graph %q: duplicate edge %d-%d", b.name, u, x)
+				}
+				continue
+			}
+			adj[w] = x
+			w++
+			prev = x
+		}
+		lo = hi
+		offsets[u+1] = w
+	}
+	g := &Graph{offsets: offsets, adj: adj[:w], name: b.name}
+	g.finalize()
 	return g, nil
 }
 

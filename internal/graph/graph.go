@@ -93,21 +93,24 @@ func (g *Graph) AdjPow2Narrow() []uint16 {
 // construction; accessors fall back to it lazily for hand-assembled
 // graphs in tests.
 func (g *Graph) finalize() {
+	g.regDeg, g.degPow2 = degreeMeta(g.offsets)
 	g.metaDone = true
-	g.regDeg = -1
-	g.degPow2 = false
-	if g.N() == 0 {
-		g.regDeg = 0
-		return
+}
+
+// degreeMeta derives the cached degree metadata from CSR offsets: the
+// common degree (-1 if degrees differ; the empty graph is 0-regular)
+// and whether it is a positive power of two.
+func degreeMeta(offsets []int32) (int32, bool) {
+	if len(offsets) < 2 {
+		return 0, false
 	}
-	d := g.Degree(0)
-	for v := int32(1); v < int32(g.N()); v++ {
-		if g.Degree(v) != d {
-			return
+	d := offsets[1] - offsets[0]
+	for v := 1; v+1 < len(offsets); v++ {
+		if offsets[v+1]-offsets[v] != d {
+			return -1, false
 		}
 	}
-	g.regDeg = d
-	g.degPow2 = d > 0 && d&(d-1) == 0
+	return d, d > 0 && d&(d-1) == 0
 }
 
 // Offsets returns the CSR offset array (length N()+1). The slice aliases

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -477,12 +478,20 @@ func TestVolume(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsDuplicates also pins the error: with several
+// parallel edges, the lexicographically smallest is named, whatever
+// order the edges were added in.
 func TestBuilderRejectsDuplicates(t *testing.T) {
-	b := NewBuilder(3, "dup")
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 0)
-	if _, err := b.Build(); err == nil {
+	b := NewBuilder(8, "dup")
+	for _, e := range [][2]int32{{6, 7}, {3, 4}, {7, 6}, {5, 2}, {4, 3}, {0, 1}, {2, 5}, {1, 2}} {
+		b.AddEdge(e[0], e[1])
+	}
+	_, err := b.Build()
+	if err == nil {
 		t.Fatal("duplicate edge not rejected")
+	}
+	if !strings.Contains(err.Error(), "duplicate edge 2-5") {
+		t.Fatalf("Build error = %v, want duplicate edge 2-5", err)
 	}
 }
 

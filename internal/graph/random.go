@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"repro/internal/rng"
 )
@@ -27,14 +27,12 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	r := rng.New(seed)
 	const maxRestarts = 50
 	for restart := 0; restart < maxRestarts; restart++ {
-		edges, ok := pairAndRepair(n, d, r)
+		us, vs, ok := pairAndRepair(n, d, r)
 		if !ok {
 			continue
 		}
 		b := NewBuilder(n, fmt.Sprintf("random-regular(n=%d,d=%d)", n, d))
-		for _, e := range edges {
-			b.AddEdge(e[0], e[1])
-		}
+		b.us, b.vs = us, vs
 		g, err := b.Build()
 		if err != nil {
 			continue
@@ -44,11 +42,78 @@ func RandomRegular(n, d int, seed uint64) (*Graph, error) {
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d, d=%d) failed after %d restarts", n, d, maxRestarts)
 }
 
+// edgeCounts is a flat open-addressing table of edge multiplicities,
+// keyed by the canonical edge lo<<32|hi. Since lo < hi, no key is 0,
+// which marks an empty slot. Keys are never deleted (a count may drop to
+// zero), so linear probing needs no tombstones.
+type edgeCounts struct {
+	keys   []uint64
+	counts []int32
+	used   int
+	shift  uint // 64 - log2(len(keys))
+}
+
+// newEdgeCounts returns an empty table of size slots, a power of two.
+func newEdgeCounts(size int) *edgeCounts {
+	return &edgeCounts{
+		keys:   make([]uint64, size),
+		counts: make([]int32, size),
+		shift:  64 - uint(bits.TrailingZeros(uint(size))),
+	}
+}
+
+// edgeKey is the canonical key of the edge {u, v}, u != v.
+func edgeKey(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// slot returns the index holding key k, or the empty slot where k
+// would go.
+func (t *edgeCounts) slot(k uint64) int {
+	mask := len(t.keys) - 1
+	i := int((k * 0x9e3779b97f4a7c15) >> t.shift)
+	for t.keys[i] != k && t.keys[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns the multiplicity of {u, v}, 0 if it was never added.
+func (t *edgeCounts) get(u, v int32) int32 { return t.counts[t.slot(edgeKey(u, v))] }
+
+// add adds delta to the multiplicity of {u, v} and returns the result.
+func (t *edgeCounts) add(u, v int32, delta int32) int32 {
+	k := edgeKey(u, v)
+	i := t.slot(k)
+	if t.keys[i] == 0 {
+		if 2*(t.used+1) > len(t.keys) { // keep the load factor <= 1/2
+			grown := newEdgeCounts(2 * len(t.keys))
+			for j, old := range t.keys {
+				if old != 0 {
+					at := grown.slot(old)
+					grown.keys[at], grown.counts[at] = old, t.counts[j]
+				}
+			}
+			grown.used = t.used
+			*t = *grown
+			i = t.slot(k)
+		}
+		t.keys[i] = k
+		t.used++
+	}
+	t.counts[i] += delta
+	return t.counts[i]
+}
+
 // pairAndRepair generates a random stub pairing and repairs defects
-// (self-loops, parallel edges) with random double edge swaps. It returns
-// ok=false if the repair loop fails to converge, in which case the caller
-// restarts with fresh randomness.
-func pairAndRepair(n, d int, r *rng.Source) ([][2]int32, bool) {
+// (self-loops, parallel edges) with random double edge swaps. Edge i is
+// {us[i], vs[i]}: the slices are sized for the Builder to take as they
+// are. It returns ok=false if the repair loop fails to converge, in
+// which case the caller restarts with fresh randomness.
+func pairAndRepair(n, d int, r *rng.Source) (us, vs []int32, ok bool) {
 	stubs := make([]int32, n*d)
 	idx := 0
 	for v := 0; v < n; v++ {
@@ -60,46 +125,35 @@ func pairAndRepair(n, d int, r *rng.Source) ([][2]int32, bool) {
 	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 
 	m := len(stubs) / 2
-	edges := make([][2]int32, m)
-	seen := make(map[int64]int, m) // canonical key -> multiplicity
-	key := func(u, v int32) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		return int64(u)<<32 | int64(v)
-	}
+	us, vs = make([]int32, m), make([]int32, m)
+	seen := newEdgeCounts(pow2ceil(2 * m))
 	var bad []int // indices of defective edges
 	for i := 0; i < m; i++ {
 		u, v := stubs[2*i], stubs[2*i+1]
-		edges[i] = [2]int32{u, v}
-		if u == v {
-			bad = append(bad, i)
-			continue
-		}
-		seen[key(u, v)]++
-		if seen[key(u, v)] > 1 {
+		us[i], vs[i] = u, v
+		if u == v || seen.add(u, v, 1) > 1 {
 			bad = append(bad, i)
 		}
 	}
 
 	isDefect := func(u, v int32) bool {
-		return u == v || seen[key(u, v)] > 1
+		return u == v || seen.get(u, v) > 1
 	}
 	removeEdge := func(u, v int32) {
 		if u != v {
-			seen[key(u, v)]--
+			seen.add(u, v, -1)
 		}
 	}
 	addEdge := func(u, v int32) {
 		if u != v {
-			seen[key(u, v)]++
+			seen.add(u, v, 1)
 		}
 	}
 
 	maxSwaps := 200 * (len(bad) + 1)
 	for swaps := 0; len(bad) > 0 && swaps < maxSwaps; swaps++ {
 		bi := bad[len(bad)-1]
-		u, v := edges[bi][0], edges[bi][1]
+		u, v := us[bi], vs[bi]
 		if !isDefect(u, v) {
 			bad = bad[:len(bad)-1] // repaired by an earlier swap
 			continue
@@ -110,7 +164,7 @@ func pairAndRepair(n, d int, r *rng.Source) ([][2]int32, bool) {
 		if pi == bi {
 			continue
 		}
-		x, y := edges[pi][0], edges[pi][1]
+		x, y := us[pi], vs[pi]
 		if r.Bool() {
 			x, y = y, x
 		}
@@ -118,21 +172,21 @@ func pairAndRepair(n, d int, r *rng.Source) ([][2]int32, bool) {
 			continue
 		}
 		// The new edges must not already exist and not be self-loops.
-		if seen[key(u, x)] > 0 || seen[key(v, y)] > 0 {
+		if seen.get(u, x) > 0 || seen.get(v, y) > 0 {
 			continue
 		}
 		removeEdge(u, v)
 		removeEdge(x, y)
 		addEdge(u, x)
 		addEdge(v, y)
-		edges[bi] = [2]int32{u, x}
-		edges[pi] = [2]int32{v, y}
+		us[bi], vs[bi] = u, x
+		us[pi], vs[pi] = v, y
 		bad = bad[:len(bad)-1]
 		if isDefect(v, y) {
 			bad = append(bad, pi)
 		}
 	}
-	return edges, len(bad) == 0
+	return us, vs, len(bad) == 0
 }
 
 // MustRandomRegular is RandomRegular, panicking on error. Tests and
@@ -389,8 +443,6 @@ func FromDegreeSequence(degrees []int, seed uint64) (*Graph, error) {
 	if sum == 0 {
 		return nil, fmt.Errorf("graph: empty degree sequence")
 	}
-	sorted := append([]int(nil), degrees...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
 	r := rng.New(seed)
 	stubs := make([]int32, 0, sum)
 	for v, d := range degrees {

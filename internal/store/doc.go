@@ -21,13 +21,15 @@
 //
 // AcquireLease, RenewLease, and ReleaseLease implement advisory,
 // TTL-bounded mutual exclusion over keys, shared by every process on
-// the directory. Creation is atomic (stage + link(2), which fails on
-// an existing lease), renewal is holder-only, and expired leases are
-// reclaimed with a rename-based compare-and-swap so exactly one
-// contender steals a dead holder's claim. Leases save duplicate work;
-// they do not carry correctness — the records they guard are
-// deterministic and content-addressed, so the worst protocol race
-// costs a byte-identical recomputation.
+// the directory. Each is a plain read-check-write of the lease file
+// under one lock: leaseMu among this Store's goroutines and, on unix,
+// an exclusive flock(2) on leases/.lock among processes. An acquire
+// succeeds only over an absent or expired lease, so exactly one
+// contender steals a dead holder's claim, and renewal and release are
+// holder-only. Leases save duplicate work; they do not carry
+// correctness — the records they guard are deterministic and
+// content-addressed, so the worst protocol race costs a byte-identical
+// recomputation.
 //
 // # Layout
 //
@@ -35,6 +37,7 @@
 //
 //	<root>/results/<key[:2]>/<key>.json   one record per key, sharded
 //	<root>/leases/<key>.json              advisory lease records
+//	<root>/leases/.lock                   flock(2) target serializing leases
 //	<root>/tmp/                           staging area for atomic writes
 //
 // The cluster layer (internal/cluster) keeps its node registry, sweep

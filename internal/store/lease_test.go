@@ -198,7 +198,8 @@ func TestLeaseContention(t *testing.T) {
 }
 
 // TestLeaseExpiredReclaimContention races many reclaimers over one
-// expired lease: the rename-based steal must admit exactly one winner.
+// expired lease: the locked read-check-write must admit exactly one
+// winner.
 func TestLeaseExpiredReclaimContention(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)

@@ -17,9 +17,9 @@
 // the benchmarks named by -gate fail the run — the remaining shared
 // benchmarks are reported for context, because absolute ns/op
 // comparisons across different machines are noisy. The gated set is
-// kept to the steady-state step kernel and the warm graph resolve,
-// whose costs are dominated by per-operation work rather than
-// allocator or I/O noise.
+// kept to the steady-state step kernel, the warm graph resolve and the
+// random-regular build, whose five baseline samples each sit within 10%
+// of their median.
 package main
 
 import (
@@ -54,7 +54,7 @@ func main() {
 	baselinePath := flag.String("baseline", "", "baseline BENCH_<date>.txt (default: newest committed one in -root)")
 	freshPath := flag.String("fresh", "", "fresh `go test -bench` output to compare (required)")
 	root := flag.String("root", ".", "repository root to scan for baselines")
-	gate := flag.String("gate", "CobraStepExpander,GraphResolveWarm", "comma-separated benchmark names that fail the run on regression")
+	gate := flag.String("gate", "CobraStepExpander,GraphResolveWarm,GraphBuildRegular", "comma-separated benchmark names that fail the run on regression")
 	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional regression of a gated benchmark's median ns/op")
 	flag.Parse()
 
