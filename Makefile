@@ -9,7 +9,7 @@ GO ?= go
 # set).
 MICROBENCH = ^Benchmark([^E]|E[^0-9])
 
-.PHONY: build test race bench bench-smoke bench-baseline bench-gate profile profile-server fmt vet cover e2e docs-check
+.PHONY: build test race bench bench-smoke bench-baseline bench-gate profile profile-server fmt vet cover fuzz e2e docs-check
 
 build:
 	$(GO) build ./...
@@ -59,14 +59,26 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Coverage over the durability core, gated at the CI threshold.
+# Coverage over the durability core — the engine scheduler, the result
+# and graph stores, the cluster protocol (arbiter, /v1/cluster/* RPCs,
+# fault injection) and retry/backoff — gated at 80%.
+COVER_PKGS = ./internal/engine/ ./internal/store/ ./internal/graphstore/ ./internal/cluster/... ./internal/retry/
+
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/engine/ ./internal/store/ ./internal/graphstore/
+	$(GO) test -coverprofile=coverage.out $(COVER_PKGS)
 	./scripts/coverage_gate.sh coverage.out 80
 
-# End-to-end smoke: two-node cobrad cluster over one data dir, sweep
-# drained through leased claims, runner killed mid-sweep, restart with
-# zero trials re-run.
+# Fuzz every decoder that reads disk bytes — graph artifacts and the
+# cluster arbiter's state and journal — for 15s each. The seed corpora
+# also run under plain go test.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 15s ./internal/cluster/
+
+# End-to-end smoke: a coordinator and -cluster-url runners, sweeps
+# drained through leased claims, runners killed mid-sweep, a second
+# coordinator on the data dir refused, restart with zero trials re-run.
 e2e:
 	./scripts/e2e_smoke.sh
 

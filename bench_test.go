@@ -1,7 +1,7 @@
 package repro
 
-// One benchmark per reproduction experiment (E1-E16, see DESIGN.md), so
-// `go test -bench=.` regenerates every paper-validation measurement at
+// One benchmark per reproduction experiment (E1-E20, the registry in
+// internal/experiments), so `go test -bench=.` regenerates every paper-validation measurement at
 // quick scale, plus engine microbenchmarks for the hot paths. Key
 // derived quantities (scaling exponents, bound ratios) are attached via
 // b.ReportMetric, so the benchmark log doubles as a results record.

@@ -1,14 +1,11 @@
 package client
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -101,97 +98,4 @@ func (c *Client) FollowLive(ctx context.Context, id string, onStatus func(engine
 		return engine.Status{}, apiErr
 	}
 	return engine.Status{}, fmt.Errorf("client: follow %s: gave up after %d reconnects: %w", id, followLiveReconnects, err)
-}
-
-// followLiveOnce holds one SSE connection open, dispatching events and
-// advancing *cursor as frames arrive. It reports the last status seen
-// and whether it was terminal.
-func (c *Client) followLiveOnce(ctx context.Context, id string, cursor *string, onStatus func(engine.Status), onFrames func([]obs.Frame)) (engine.Status, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+url.PathEscape(id)+"/events", nil)
-	if err != nil {
-		return engine.Status{}, false, fmt.Errorf("client: build events request: %w", err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if *cursor != "" {
-		req.Header.Set("Last-Event-ID", *cursor)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return engine.Status{}, false, fmt.Errorf("client: events %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data := make([]byte, 4096)
-		n, _ := resp.Body.Read(data)
-		return engine.Status{}, false, decodeError(resp.StatusCode, data[:n])
-	}
-
-	var (
-		last    engine.Status
-		eventID string
-		event   string
-		dataBuf strings.Builder
-	)
-	dispatch := func() (terminal bool, err error) {
-		defer func() { eventID, event = "", ""; dataBuf.Reset() }()
-		if dataBuf.Len() == 0 {
-			return false, nil
-		}
-		switch event {
-		case "status":
-			var st engine.Status
-			if err := json.Unmarshal([]byte(dataBuf.String()), &st); err != nil {
-				return false, fmt.Errorf("client: decode status event: %w", err)
-			}
-			last = st
-			if onStatus != nil {
-				onStatus(st)
-			}
-			return st.State.Terminal(), nil
-		case "frames":
-			var frames []obs.Frame
-			if err := json.Unmarshal([]byte(dataBuf.String()), &frames); err != nil {
-				return false, fmt.Errorf("client: decode frames event: %w", err)
-			}
-			if eventID != "" {
-				*cursor = eventID
-			}
-			if onFrames != nil && len(frames) > 0 {
-				onFrames(frames)
-			}
-		}
-		return false, nil
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			terminal, err := dispatch()
-			if err != nil {
-				return engine.Status{}, false, err
-			}
-			if terminal {
-				return last, true, nil
-			}
-		case strings.HasPrefix(line, ":"):
-			// Comment keep-alive.
-		case strings.HasPrefix(line, "id:"):
-			eventID = strings.TrimSpace(strings.TrimPrefix(line, "id:"))
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			dataBuf.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return engine.Status{}, false, fmt.Errorf("client: events stream %s: %w", id, err)
-	}
-	terminal, err := dispatch()
-	if err != nil {
-		return engine.Status{}, false, err
-	}
-	return last, terminal, nil
 }

@@ -42,32 +42,24 @@
 // mmapped by every process sharing the directory; -graph-cache-bytes
 // bounds its disk footprint.
 //
-// Several cobrad instances sharing one -data-dir form a cluster. Start
-// each with -cluster (coordinator, runner, or peer) and they drain a
-// common workload through leased claims on the shared store: a sweep
-// submitted to any node is announced to the cluster, runner/peer nodes
-// adopt it, and every point is computed exactly once cluster-wide —
-// whoever claims a point's lease runs it, everyone else adopts the
-// stored result. A killed node's leases expire after -lease-ttl and
-// survivors re-run only the points it never stored.
-//
-//	cobrad -addr :8080 -data-dir /shared/cobrad -cluster coordinator -node-id a &
-//	cobrad -addr :8081 -data-dir /shared/cobrad -cluster runner      -node-id b &
-//	curl -s localhost:8080/v1/nodes
-//
-// A runner (or peer) can instead join over the network, with no shared
-// filesystem at all: point it at a disk-backed clustered daemon with
-// -cluster-url. Results, lease claims, journal records, sweep
-// announcements, cancellations, and node heartbeats then travel as
-// /v1/cluster/* RPCs against the coordinator, which arbitrates them on
-// the same store its local workers use — the exactly-once guarantees
-// are identical to the shared-directory cluster. A -data-dir on such a
-// runner is optional and used only for the graph artifact cache; its
-// results live on the coordinator.
+// Several cobrad instances form a cluster around one arbiter. The
+// coordinator (-cluster coordinator with -data-dir) hosts it: point
+// leases with fencing tokens, the node registry, sweep announcements,
+// cancellations and the exactly-once compute journal, kept beside its
+// result store. Runners (-cluster runner or peer) join it with
+// -cluster-url and need no shared filesystem: their lease claims,
+// results, journal records and heartbeats are /v1/cluster/* RPCs, and
+// the coordinator's own workers claim through the same arbiter
+// in-process. A sweep submitted to any node is announced, runners adopt
+// it, and every point is computed exactly once cluster-wide. A killed
+// node's leases expire after -lease-ttl and survivors re-run only the
+// points it never stored. A runner's -data-dir is optional and holds
+// only its graph artifact cache; a second coordinator on the same
+// -data-dir fails at startup.
 //
 //	cobrad -addr :8080 -data-dir /var/lib/cobrad -cluster coordinator -node-id a &
 //	cobrad -addr :8081 -cluster runner -cluster-url http://127.0.0.1:8080 -node-id b &
-//	curl -s localhost:8080/v1/cluster/journal
+//	curl -s localhost:8080/v1/nodes
 //
 // cobrad shuts down gracefully on SIGINT/SIGTERM: it stops accepting
 // connections, lets in-flight HTTP requests finish, then drains the job
@@ -111,8 +103,8 @@ func main() {
 		storeMaxAge   = flag.Duration("store-max-age", 0, "persistent store record retention; older records evicted (0 disables)")
 		storeGCEvery  = flag.Duration("store-gc-interval", time.Minute, "how often the store GC sweep runs")
 		graphCacheMax = flag.Int64("graph-cache-bytes", 0, "graph artifact store size cap in bytes; oldest artifacts evicted beyond it (0 disables)")
-		clusterMode   = flag.String("cluster", "off", "cluster role: off|coordinator|runner|peer (requires -data-dir or -cluster-url)")
-		clusterURL    = flag.String("cluster-url", "", "coordinator base URL; join the cluster over HTTP instead of a shared -data-dir (runner/peer roles only)")
+		clusterMode   = flag.String("cluster", "off", "cluster role: off|coordinator|runner|peer (a coordinator hosts the arbiter on -data-dir; runner and peer join it with -cluster-url)")
+		clusterURL    = flag.String("cluster-url", "", "coordinator base URL to join over HTTP (runner/peer roles)")
 		nodeID        = flag.String("node-id", "", "cluster node identity (default <hostname>-<pid>)")
 		leaseTTL      = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "point lease TTL; a dead node's work is reclaimed after this long")
 		logLevel      = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
@@ -120,17 +112,13 @@ func main() {
 		pprofAddr     = flag.String("pprof-addr", "127.0.0.1:6060", "pprof listen address (with -pprof)")
 	)
 	flag.Parse()
-	if *clusterURL != "" {
-		switch *clusterMode {
-		case "runner", "peer":
-		case "off":
-			fatal(errors.New("cobrad: -cluster-url requires -cluster runner or -cluster peer"))
-		default:
-			fatal(fmt.Errorf("cobrad: -cluster %s cannot join over -cluster-url: the coordinator is the node the URL points at", *clusterMode))
-		}
-	}
-	if *clusterMode != "off" && *clusterURL == "" && *dataDir == "" {
-		fatal(errors.New("cobrad: -cluster requires -data-dir (the shared directory is the cluster) or -cluster-url (join the coordinator over http)"))
+	switch {
+	case *clusterMode == "coordinator" && (*dataDir == "" || *clusterURL != ""):
+		fatal(errors.New("cobrad: -cluster coordinator hosts the arbiter: it needs -data-dir and no -cluster-url"))
+	case *clusterMode != "coordinator" && *clusterMode != "off" && *clusterURL == "":
+		fatal(fmt.Errorf("cobrad: -cluster %s joins the coordinator with -cluster-url", *clusterMode))
+	case *clusterMode == "off" && *clusterURL != "":
+		fatal(errors.New("cobrad: -cluster-url requires -cluster runner or -cluster peer"))
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -149,8 +137,8 @@ func main() {
 	}
 	gcStop := make(chan struct{})
 	var gcDone, graphGCDone chan struct{}
-	var backend cluster.Backend // the cluster membership, whatever its transport
-	var cs *cluster.Server      // non-nil on disk-backed clustered daemons: serves /v1/cluster/* mutations
+	var backend *cluster.Member // the cluster membership, whatever its transport
+	var cs *cluster.Server      // the coordinator's arbiter: serves /v1/cluster/* mutations
 	if *dataDir != "" {
 		// With -cluster-url, the local directory holds only the graph
 		// artifact cache: results, leases, and the journal live on the
@@ -170,10 +158,10 @@ func main() {
 				gcDone = make(chan struct{})
 				go storeGCLoop(st, *storeGCEvery, gcStop, gcDone)
 			}
-			if *clusterMode != "off" {
+			if *clusterMode == "coordinator" {
 				cl, err := cluster.Join(st, cluster.Config{
 					NodeID:   *nodeID,
-					Role:     cluster.Role(*clusterMode),
+					Role:     cluster.RoleCoordinator,
 					Addr:     *addr,
 					LeaseTTL: *leaseTTL,
 				})
@@ -181,14 +169,9 @@ func main() {
 					fatal(err)
 				}
 				backend = cl
-				opts.Cluster = cl
-				opts.NodeID = cl.NodeID()
-				// Any disk-backed member can arbitrate for HTTP runners:
-				// mount the coordinator-side RPC authority over the same
-				// store and membership its local workers use.
 				cs = cluster.NewServer(st, cl)
-				log.Printf("cobrad: joined cluster at %s as %s (%s, lease-ttl %v)",
-					*dataDir, cl.NodeID(), cl.Role(), cl.LeaseTTL())
+				log.Printf("cobrad: hosting the cluster arbiter at %s as %s (lease-ttl %v)",
+					*dataDir, cl.NodeID(), cl.LeaseTTL())
 			}
 		}
 		// Graph artifacts live beside the result records: every node
@@ -223,13 +206,15 @@ func main() {
 			fatal(err)
 		}
 		backend = hb
-		opts.Cluster = hb
-		opts.NodeID = hb.NodeID()
 		// The coordinator's content-addressed store, over RPC: this node
 		// needs no result directory of its own.
 		opts.Store = hb.RemoteStore()
 		log.Printf("cobrad: joined cluster at %s as %s (%s, lease-ttl %v)",
 			*clusterURL, hb.NodeID(), hb.Role(), hb.LeaseTTL())
+	}
+	if backend != nil {
+		opts.Cluster = backend
+		opts.NodeID = backend.NodeID()
 	}
 	eng := engine.New(opts)
 
@@ -262,8 +247,8 @@ func main() {
 	// sweeps announced by the rest of the cluster into their own engine
 	// (so a sweep submitted anywhere drains everywhere), and every role
 	// applies cross-node cancellations to its local jobs. The loop is
-	// generic over the backend — it polls the shared directory or the
-	// coordinator's RPCs the same way.
+	// the same on every node — it polls the arbiter in-process or over
+	// the coordinator's RPCs.
 	watchStop := make(chan struct{})
 	var watchDone chan struct{}
 	if backend != nil {

@@ -1,7 +1,7 @@
-// Command experiments regenerates the paper-reproduction tables indexed
-// in DESIGN.md and recorded in EXPERIMENTS.md: one experiment per
-// theorem, lemma-level mechanism, or remark of "Better Bounds for
-// Coalescing-Branching Random Walks".
+// Command experiments regenerates the paper-reproduction tables of the
+// internal/experiments registry (E1-E20), recorded in EXPERIMENTS.md:
+// one experiment per theorem, lemma-level mechanism, or remark of
+// "Better Bounds for Coalescing-Branching Random Walks".
 //
 // Usage:
 //

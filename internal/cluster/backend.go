@@ -7,23 +7,17 @@ import (
 	"repro/internal/store"
 )
 
-// Backend is the set of store/lease/journal/discovery operations the
-// engine, the service layer, and the daemon need from a cluster
-// membership — extracted so the transport underneath is swappable.
-// Two implementations exist:
+// Backend is the set of lease/journal/announcement/discovery
+// operations the engine, the service layer, and the daemon need from a
+// cluster membership. *Member implements it, in-process on the node
+// that hosts the arbiter and over the /v1/cluster/* routes everywhere
+// else; the interface is the seam where tests and benchmarks wrap a
+// member.
 //
-//   - *Cluster: the original shared-directory backend, where every
-//     primitive rides on the store's filesystem machinery (lease
-//     read-check-writes under an exclusive flock(2), heartbeat files).
-//   - *HTTPBackend: a network-native backend where every operation is
-//     an RPC against a coordinator's /v1/cluster/* routes, letting a
-//     runner join with no shared -data-dir at all.
-//
-// The contract is identical either way: leases are advisory (results
-// are deterministic and content-addressed, so protocol races degrade
-// to duplicate work, never wrong records), the journal is the
-// exactly-once ledger, and announcements are idempotent per
-// fingerprint.
+// The contract: leases are advisory (results are deterministic and
+// content-addressed, so protocol races degrade to duplicate work, never
+// wrong records), the journal is the exactly-once ledger, and
+// announcements are idempotent per fingerprint.
 type Backend interface {
 	// NodeID returns this node's identity.
 	NodeID() string
@@ -41,8 +35,8 @@ type Backend interface {
 	// Claim attempts to take this node's lease on key; when it fails it
 	// returns the lease currently in the way.
 	Claim(key string) (bool, store.Lease, error)
-	// Renew extends this node's lease on key; store.ErrLeaseLost means
-	// the lease lapsed or was reclaimed.
+	// Renew extends this node's lease on key; ErrFenced means the lease
+	// lapsed or was reclaimed.
 	Renew(key string) error
 	// Release drops this node's lease on key, if still held.
 	Release(key string)
@@ -68,8 +62,6 @@ type Backend interface {
 	Nodes() ([]NodeInfo, error)
 }
 
-var _ Backend = (*Cluster)(nil)
-
 // WatchHooks connect the cluster watch loop to the local engine.
 type WatchHooks struct {
 	// HasResult reports whether the sweep aggregate for fp is already
@@ -87,7 +79,7 @@ type WatchHooks struct {
 }
 
 // Watch is the cluster background loop, generic over Backend: on the
-// backend's poll cadence it adopts foreign announcements (on roles
+// member's poll cadence it adopts foreign announcements (on roles
 // that adopt) and propagates cross-node cancellations (on every
 // role), blocking until stop closes.
 func Watch(b Backend, stop <-chan struct{}, h WatchHooks) {

@@ -1,58 +1,56 @@
-// Package cluster turns a set of cobrad instances sharing one data
-// directory into a work-sharing cluster. It layers three small
-// coordination primitives over the persistent store's filesystem
-// machinery:
+// Package cluster turns a set of cobrad instances into a work-sharing
+// cluster coordinated by one arbiter. The node that owns the result
+// store (-data-dir, no -cluster-url) hosts the arbiter; every member
+// claims through it with the same code — the coordinator's own engine
+// in-process, every -cluster-url runner over the /v1/cluster/* routes.
+// The arbiter keeps, under one mutex:
 //
-//   - a node registry: every member heartbeats a node record, so peers
-//     (and GET /v1/nodes) can see who is in the cluster and who has
-//     gone silent;
+//   - point leases: acquire, renew and release are each one
+//     compare-and-swap on (holder, token). Tokens come from a persisted
+//     counter, so they strictly increase across holders and restarts
+//     whatever the wall clock does;
+//   - the node registry: members re-register every heartbeat and the
+//     arbiter stamps last-seen with its own clock;
 //   - sweep announcements: a sweep submitted to any node is published
 //     under its fingerprint, and runner/peer nodes adopt it into their
 //     own engines, so one sweep drains across every machine;
-//   - a compute journal: each point a node actually computes (as
-//     opposed to adopting from the store) leaves one journal record —
-//     the cluster-wide exactly-once accounting that tests and the e2e
-//     smoke assert on.
+//   - cross-node cancellations;
+//   - the compute journal: each point a node actually computes (as
+//     opposed to adopting from the store) leaves one record, first
+//     reporter wins — the cluster-wide exactly-once ledger.
 //
-// Mutual exclusion over individual points comes from the store's lease
-// subsystem (store.AcquireLease and friends), which this package wraps
-// with the node's identity and TTL. Leases are advisory: results are
-// content-addressed and deterministic, so any protocol race degrades
-// to duplicate work, never to a wrong record. A node that dies holding
-// leases simply stops renewing them; survivors reclaim the expired
-// leases and re-run only the points the dead node never stored.
+// Leases are advisory: results are content-addressed and deterministic,
+// so any protocol race degrades to duplicate work, never to a wrong
+// record. A node that dies holding leases simply stops renewing them;
+// survivors reclaim the expired leases and re-run only the points the
+// dead node never stored.
 //
 // On-disk layout, beside the store's results/ tree:
 //
-//	<data-dir>/leases/<key>.json              advisory point leases (store-owned)
-//	<data-dir>/cluster/nodes/<id>.json        heartbeated node records
-//	<data-dir>/cluster/sweeps/<fp>.json       sweep announcements
-//	<data-dir>/cluster/journal/<fp>.json      compute journal (first reporter wins)
-//	<data-dir>/cluster/cancels/<fp>.json      cross-node cancellation markers
-//	<data-dir>/cluster/tmp/                   staging for atomic writes
+//	<data-dir>/cluster/owner.lock    flock(2) held by the arbiter's process
+//	<data-dir>/cluster/state.json    token counter, leases, announcements, cancellations
+//	<data-dir>/cluster/journal.log   compute journal, one JSON record per line, append-only
+//
+// state.json is rewritten (temp file + rename) on every mutation it
+// holds; the journal is only ever appended to. The registry is soft
+// state that heartbeats rebuild, so it is not persisted.
 package cluster
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"time"
-
-	"repro/internal/store"
 )
 
 // Role is a node's cluster role.
 type Role string
 
-// Cluster roles. A coordinator announces the sweeps it receives and
-// computes under leases but does not adopt foreign announcements; a
-// runner additionally adopts announced sweeps into its own engine; a
-// peer is shorthand for a node that does both (every node announces,
-// runners and peers adopt).
+// Cluster roles. A coordinator hosts the arbiter, announces the sweeps
+// it receives and computes under leases but does not adopt foreign
+// announcements; a runner joins the coordinator and additionally adopts
+// announced sweeps into its own engine; a peer behaves as a runner
+// (every node announces, runners and peers adopt).
 const (
 	RoleCoordinator Role = "coordinator"
 	RoleRunner      Role = "runner"
@@ -70,7 +68,7 @@ func (r Role) Adopts() bool { return r == RoleRunner || r == RolePeer }
 
 // Default intervals. LeaseTTL trades reclaim latency against tolerance
 // for stalls: a dead node's points become reclaimable one TTL after
-// its last heartbeat.
+// its last renewal.
 const (
 	DefaultLeaseTTL = 15 * time.Second
 )
@@ -128,97 +126,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Cluster is one node's membership in the shared-directory cluster.
-// All methods are safe for concurrent use.
-type Cluster struct {
-	st  *store.Store
-	cfg Config
-
-	started time.Time
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-}
-
-// Join registers this process as a member of the cluster rooted at the
-// store's directory: it creates the coordination directories, writes
-// the node record, and starts the heartbeat loop. Call Leave on
-// shutdown.
-func Join(st *store.Store, cfg Config) (*Cluster, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		st:      st,
-		cfg:     cfg,
-		started: time.Now().UTC(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	for _, dir := range []string{c.nodesDir(), c.sweepsDir(), c.journalDir(), c.cancelsDir(), c.tmpDir()} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cluster: join %s: %w", st.Dir(), err)
-		}
-	}
-	if err := c.writeNodeRecord(); err != nil {
-		return nil, err
-	}
-	go c.heartbeatLoop()
-	return c, nil
-}
-
-// Leave stops the heartbeat loop and removes this node's record from
-// the registry. Held point leases are left to expire; a graceful
-// shutdown releases them through the engine before calling Leave.
-func (c *Cluster) Leave() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
-	_ = os.Remove(c.nodePath(c.cfg.NodeID))
-}
-
-// NodeID returns this node's identity.
-func (c *Cluster) NodeID() string { return c.cfg.NodeID }
-
-// Role returns this node's role.
-func (c *Cluster) Role() Role { return c.cfg.Role }
-
-// LeaseTTL returns the configured lease TTL.
-func (c *Cluster) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
-
-// Heartbeat returns the lease/registry renewal cadence.
-func (c *Cluster) Heartbeat() time.Duration { return c.cfg.Heartbeat }
-
-// Poll returns the wait/adoption polling cadence.
-func (c *Cluster) Poll() time.Duration { return c.cfg.Poll }
-
-func (c *Cluster) clusterDir() string { return filepath.Join(c.st.Dir(), "cluster") }
-func (c *Cluster) nodesDir() string   { return filepath.Join(c.clusterDir(), "nodes") }
-func (c *Cluster) sweepsDir() string  { return filepath.Join(c.clusterDir(), "sweeps") }
-func (c *Cluster) journalDir() string { return filepath.Join(c.clusterDir(), "journal") }
-func (c *Cluster) tmpDir() string     { return filepath.Join(c.clusterDir(), "tmp") }
-
-// Claim attempts to take this node's lease on key (a point
-// fingerprint). It reports whether the claim succeeded and, when it
-// did not, the lease currently in the way.
-func (c *Cluster) Claim(key string) (bool, store.Lease, error) {
-	lease, ok, err := c.st.AcquireLease(key, c.cfg.NodeID, c.cfg.LeaseTTL)
-	return ok, lease, err
-}
-
-// Renew extends this node's lease on key; it returns
-// store.ErrLeaseLost when the lease has lapsed or been reclaimed.
-func (c *Cluster) Renew(key string) error {
-	_, err := c.st.RenewLease(key, c.cfg.NodeID, c.cfg.LeaseTTL)
-	return err
-}
-
-// Release drops this node's lease on key, if still held.
-func (c *Cluster) Release(key string) {
-	_ = c.st.ReleaseLease(key, c.cfg.NodeID)
-}
-
 // NodeInfo is the registry view of one cluster member.
 type NodeInfo struct {
 	ID        string    `json:"id"`
@@ -226,98 +133,13 @@ type NodeInfo struct {
 	Addr      string    `json:"addr,omitempty"`
 	StartedAt time.Time `json:"started_at"`
 	LastSeen  time.Time `json:"last_seen"`
-	// Heartbeat is the record owner's renewal cadence, so observers
-	// with different TTLs judge liveness against the right clock.
+	// Heartbeat is the member's renewal cadence, so liveness is judged
+	// against the member's own clock period, not the arbiter's.
 	Heartbeat time.Duration `json:"heartbeat,omitempty"`
 	// Alive reports whether the node's last heartbeat is recent (three
 	// of its own heartbeat intervals); a killed node goes stale, it
 	// never un-registers.
 	Alive bool `json:"alive"`
-}
-
-// Nodes returns every registered node, sorted by ID, with liveness
-// judged against three of the node's own heartbeat intervals (falling
-// back to this member's interval for records that predate the field).
-func (c *Cluster) Nodes() ([]NodeInfo, error) {
-	files, err := os.ReadDir(c.nodesDir())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: scan nodes: %w", err)
-	}
-	now := time.Now().UTC()
-	nodes := make([]NodeInfo, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join(c.nodesDir(), f.Name()))
-		if err != nil {
-			continue
-		}
-		var n NodeInfo
-		if err := json.Unmarshal(data, &n); err != nil || n.ID == "" {
-			continue
-		}
-		interval := n.Heartbeat
-		if interval <= 0 {
-			interval = c.cfg.Heartbeat
-		}
-		n.Alive = now.Sub(n.LastSeen) < 3*interval
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(a, b int) bool { return nodes[a].ID < nodes[b].ID })
-	return nodes, nil
-}
-
-func (c *Cluster) nodePath(id string) string {
-	return filepath.Join(c.nodesDir(), sanitize(id)+".json")
-}
-
-func (c *Cluster) writeNodeRecord() error {
-	n := NodeInfo{
-		ID:        c.cfg.NodeID,
-		Role:      c.cfg.Role,
-		Addr:      c.cfg.Addr,
-		StartedAt: c.started,
-		LastSeen:  time.Now().UTC(),
-		Heartbeat: c.cfg.Heartbeat,
-	}
-	return c.writeDoc(c.nodePath(c.cfg.NodeID), n)
-}
-
-// RegisterNode upserts a node record on behalf of a remote member —
-// the coordinator-side half of POST /v1/cluster/nodes. LastSeen is
-// stamped with the local clock, so liveness judgments are immune to
-// remote clock skew.
-func (c *Cluster) RegisterNode(n NodeInfo) error {
-	if n.ID == "" {
-		return fmt.Errorf("cluster: register node: id required")
-	}
-	n.LastSeen = time.Now().UTC()
-	if n.StartedAt.IsZero() {
-		n.StartedAt = n.LastSeen
-	}
-	if n.Heartbeat <= 0 {
-		n.Heartbeat = c.cfg.Heartbeat
-	}
-	return c.writeDoc(c.nodePath(n.ID), n)
-}
-
-// UnregisterNode removes a remote member's record — the graceful-leave
-// half of node discovery. A killed node never calls it; its record
-// simply goes stale.
-func (c *Cluster) UnregisterNode(id string) {
-	_ = os.Remove(c.nodePath(id))
-}
-
-func (c *Cluster) heartbeatLoop() {
-	defer close(c.done)
-	ticker := time.NewTicker(c.cfg.Heartbeat)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			_ = c.writeNodeRecord()
-		}
-	}
 }
 
 // Announcement is one sweep published to the cluster's shared queue.
@@ -334,187 +156,25 @@ type Announcement struct {
 	// Spec is the raw sweep spec JSON, decodable with
 	// engine.DecodeSpec(Kind, Spec).
 	Spec json.RawMessage `json:"spec"`
-	// AnnouncedAt is when the origin published the sweep.
+	// AnnouncedAt is when the arbiter published the sweep.
 	AnnouncedAt time.Time `json:"announced_at"`
 }
 
-func (c *Cluster) announcementPath(fp string) string {
-	return filepath.Join(c.sweepsDir(), sanitize(fp)+".json")
-}
-
-// AnnounceSweep publishes a sweep to the shared queue, create-if-absent:
-// announcing a fingerprint that is already announced (by any node) is a
-// no-op, so adoption cannot loop.
-func (c *Cluster) AnnounceSweep(fp, kind string, spec json.RawMessage, priority int) error {
-	return c.AnnounceSweepFrom(c.cfg.NodeID, fp, kind, spec, priority)
-}
-
-// AnnounceSweepFrom publishes a sweep on behalf of origin — the
-// coordinator-side half of POST /v1/cluster/sweeps, where the origin
-// is the announcing remote node, not this member.
-func (c *Cluster) AnnounceSweepFrom(origin, fp, kind string, spec json.RawMessage, priority int) error {
-	a := Announcement{
-		Fingerprint: fp,
-		Origin:      origin,
-		Kind:        kind,
-		Priority:    priority,
-		Spec:        spec,
-		AnnouncedAt: time.Now().UTC(),
-	}
-	return c.createDoc(c.announcementPath(fp), a)
-}
-
-// CompleteSweep retires a sweep's announcement once its result is in
-// the store (or the sweep is otherwise terminal at its origin).
-// Idempotent; any node may call it.
-func (c *Cluster) CompleteSweep(fp string) {
-	_ = os.Remove(c.announcementPath(fp))
-}
-
-// Announcements returns the currently published sweeps, oldest first.
-func (c *Cluster) Announcements() ([]Announcement, error) {
-	files, err := os.ReadDir(c.sweepsDir())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: scan announcements: %w", err)
-	}
-	anns := make([]Announcement, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join(c.sweepsDir(), f.Name()))
-		if err != nil {
-			continue
-		}
-		var a Announcement
-		if err := json.Unmarshal(data, &a); err != nil || a.Fingerprint == "" {
-			continue
-		}
-		anns = append(anns, a)
-	}
-	sort.Slice(anns, func(a, b int) bool {
-		if !anns[a].AnnouncedAt.Equal(anns[b].AnnouncedAt) {
-			return anns[a].AnnouncedAt.Before(anns[b].AnnouncedAt)
-		}
-		return anns[a].Fingerprint < anns[b].Fingerprint
-	})
-	return anns, nil
+// CancelRecord is one cross-node cancellation: every member that sees
+// it cancels its local live jobs for the fingerprint that were
+// submitted before CanceledAt — later resubmissions of the same spec
+// are deliberately spared.
+type CancelRecord struct {
+	Fingerprint string    `json:"fingerprint"`
+	Node        string    `json:"node"`
+	CanceledAt  time.Time `json:"canceled_at"`
 }
 
 // JournalEntry records one point actually computed (not adopted) by a
-// node: the cluster's exactly-once ledger. Each key should appear at
-// most once across the whole cluster; a second entry for the same key
-// is the signature of duplicated work.
+// node: the cluster's exactly-once ledger. Each key appears at most
+// once; the first reporter keeps the attribution.
 type JournalEntry struct {
 	Key         string    `json:"key"`
 	Node        string    `json:"node"`
 	CompletedAt time.Time `json:"completed_at"`
-}
-
-// RecordComputed journals that this node computed key. Best-effort:
-// journal writes never fail the computation they describe.
-func (c *Cluster) RecordComputed(key string) {
-	c.RecordComputedBy(key, c.cfg.NodeID)
-}
-
-// RecordComputedBy journals a computation, create-if-absent per key:
-// the first reporter wins the attribution and every later write — a
-// retried or duplicated journal RPC, or a genuine duplicate
-// computation (an expired lease reclaimed mid-flight, a claim won
-// just after the original holder released) — is a no-op. The ledger
-// is therefore exactly-once per key by construction, which is the
-// invariant the fault suites and the e2e smoke assert.
-func (c *Cluster) RecordComputedBy(key, node string) {
-	e := JournalEntry{Key: key, Node: node, CompletedAt: time.Now().UTC()}
-	_ = c.createDoc(filepath.Join(c.journalDir(), sanitize(key)+".json"), e)
-}
-
-// Journal returns every compute record, ordered by completion time.
-func (c *Cluster) Journal() ([]JournalEntry, error) {
-	files, err := os.ReadDir(c.journalDir())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: scan journal: %w", err)
-	}
-	entries := make([]JournalEntry, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(filepath.Join(c.journalDir(), f.Name()))
-		if err != nil {
-			continue
-		}
-		var e JournalEntry
-		if err := json.Unmarshal(data, &e); err != nil || e.Key == "" {
-			continue
-		}
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if !entries[a].CompletedAt.Equal(entries[b].CompletedAt) {
-			return entries[a].CompletedAt.Before(entries[b].CompletedAt)
-		}
-		return entries[a].Key < entries[b].Key
-	})
-	return entries, nil
-}
-
-// writeDoc atomically writes v as JSON to path (temp + rename).
-func (c *Cluster) writeDoc(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", filepath.Base(path), err)
-	}
-	tmp, err := os.CreateTemp(c.tmpDir(), "doc-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cluster: stage %s: %w", filepath.Base(path), err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: write %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: close %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: commit %s: %w", filepath.Base(path), err)
-	}
-	return nil
-}
-
-// createDoc atomically writes v as JSON to path if and only if path
-// does not exist yet (temp + link); an existing doc is left untouched.
-func (c *Cluster) createDoc(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("cluster: marshal %s: %w", filepath.Base(path), err)
-	}
-	tmp, err := os.CreateTemp(c.tmpDir(), "doc-*.tmp")
-	if err != nil {
-		return fmt.Errorf("cluster: stage %s: %w", filepath.Base(path), err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: write %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: close %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Link(tmpName, path); err != nil && !os.IsExist(err) {
-		return fmt.Errorf("cluster: publish %s: %w", filepath.Base(path), err)
-	}
-	return nil
-}
-
-// sanitize maps an identifier onto the filename-safe alphabet.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,29 +14,37 @@ import (
 const fpA = "aaaa000000000000000000000000000000000000000000000000000000000000"
 const fpB = "bbbb000000000000000000000000000000000000000000000000000000000000"
 
-func join(t *testing.T, st *store.Store, id string, role Role) *Cluster {
-	t.Helper()
-	c, err := Join(st, Config{
-		NodeID:    id,
-		Role:      role,
-		LeaseTTL:  500 * time.Millisecond,
-		Heartbeat: 50 * time.Millisecond,
-		Poll:      20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("join %s: %v", id, err)
-	}
-	t.Cleanup(c.Leave)
-	return c
-}
+var testConfig = Config{LeaseTTL: 500 * time.Millisecond, Heartbeat: 50 * time.Millisecond,
+	Poll: 20 * time.Millisecond}
 
-func sharedStore(t *testing.T) *store.Store {
+// coordinator hosts a fresh arbiter over a temp store as node-a.
+func coordinator(t *testing.T) (*store.Store, *Member) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	return st
+	cfg := testConfig
+	cfg.NodeID, cfg.Role = "node-a", RoleCoordinator
+	m, err := Join(st, cfg)
+	if err != nil {
+		t.Fatalf("join node-a: %v", err)
+	}
+	t.Cleanup(m.Leave)
+	return st, m
+}
+
+// member joins id to the arbiter host hosts, in-process.
+func member(t *testing.T, host *Member, id string, role Role) *Member {
+	t.Helper()
+	cfg := testConfig
+	cfg.NodeID, cfg.Role = id, role
+	m, err := (&Server{arbiter: host.host}).Join(cfg)
+	if err != nil {
+		t.Fatalf("join %s: %v", id, err)
+	}
+	t.Cleanup(m.Leave)
+	return m
 }
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
@@ -61,9 +70,8 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 }
 
 func TestNodeRegistryAndLiveness(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RoleCoordinator)
-	b := join(t, st, "node-b", RoleRunner)
+	_, a := coordinator(t)
+	b := member(t, a, "node-b", RoleRunner)
 
 	nodes, err := a.Nodes()
 	if err != nil {
@@ -91,14 +99,19 @@ func TestNodeRegistryAndLiveness(t *testing.T) {
 }
 
 func TestStaleNodeGoesNotAlive(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RolePeer)
-	// Simulate a killed peer: its record exists but is never renewed.
-	dead := NodeInfo{ID: "node-dead", Role: RolePeer,
-		StartedAt: time.Now().UTC().Add(-time.Hour),
-		LastSeen:  time.Now().UTC().Add(-time.Hour)}
-	if err := a.writeDoc(a.nodePath(dead.ID), dead); err != nil {
-		t.Fatalf("plant dead node: %v", err)
+	a, clk := clockedArbiter(t, t.TempDir())
+	for _, n := range []NodeInfo{
+		{ID: "node-a", Heartbeat: 50 * time.Millisecond},
+		{ID: "node-dead", Heartbeat: 20 * time.Millisecond},
+	} {
+		if err := a.RegisterNode(n); err != nil {
+			t.Fatalf("register %s: %v", n.ID, err)
+		}
+	}
+	// node-a keeps beating; node-dead was killed and never beats again.
+	clk.advance(60 * time.Millisecond)
+	if err := a.RegisterNode(NodeInfo{ID: "node-a", Heartbeat: 50 * time.Millisecond}); err != nil {
+		t.Fatalf("heartbeat: %v", err)
 	}
 	nodes, _ := a.Nodes()
 	byID := map[string]NodeInfo{}
@@ -108,27 +121,41 @@ func TestStaleNodeGoesNotAlive(t *testing.T) {
 	if !byID["node-a"].Alive {
 		t.Fatal("live node reported dead")
 	}
+	// Exactly three of its own intervals since the last beat: stale.
 	if byID["node-dead"].Alive {
 		t.Fatal("stale node reported alive")
 	}
 }
 
 func TestHeartbeatAdvancesLastSeen(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RolePeer)
+	a, clk := clockedArbiter(t, t.TempDir())
+	cfg := testConfig
+	cfg.NodeID, cfg.Heartbeat = "node-a", 5*time.Millisecond
+	m, err := startMember(cfg, a)
+	if err != nil {
+		t.Fatalf("start member: %v", err)
+	}
+	defer m.Leave()
 	first, _ := a.Nodes()
-	time.Sleep(120 * time.Millisecond) // > 2 heartbeats
-	second, _ := a.Nodes()
-	if !second[0].LastSeen.After(first[0].LastSeen) {
-		t.Fatalf("heartbeat did not advance last_seen: %v -> %v",
-			first[0].LastSeen, second[0].LastSeen)
+	clk.advance(time.Second)
+	// The member's heartbeat re-registers on its own ticker; LastSeen
+	// must follow the arbiter's clock forward.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		second, _ := a.Nodes()
+		if second[0].LastSeen.Equal(first[0].LastSeen.Add(time.Second)) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("heartbeat did not advance last_seen: %v -> %v", first[0].LastSeen, second[0].LastSeen)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestAnnounceIsIdempotentAndCompletable(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RolePeer)
-	b := join(t, st, "node-b", RolePeer)
+	_, a := coordinator(t)
+	b := member(t, a, "node-b", RolePeer)
 
 	spec := json.RawMessage(`{"child":"process","process":"cobra"}`)
 	if err := a.AnnounceSweep(fpA, "sweep", spec, 3); err != nil {
@@ -161,9 +188,8 @@ func TestAnnounceIsIdempotentAndCompletable(t *testing.T) {
 }
 
 func TestJournalRecordsExactlyWhatWasComputed(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RolePeer)
-	b := join(t, st, "node-b", RolePeer)
+	_, a := coordinator(t)
+	b := member(t, a, "node-b", RolePeer)
 
 	a.RecordComputed(fpA)
 	b.RecordComputed(fpB)
@@ -203,9 +229,8 @@ func TestJournalRecordsExactlyWhatWasComputed(t *testing.T) {
 }
 
 func TestLeaseWrappersBindNodeIdentity(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RolePeer)
-	b := join(t, st, "node-b", RolePeer)
+	_, a := coordinator(t)
+	b := member(t, a, "node-b", RolePeer)
 
 	ok, _, err := a.Claim(fpA)
 	if err != nil || !ok {
@@ -221,8 +246,8 @@ func TestLeaseWrappersBindNodeIdentity(t *testing.T) {
 	if err := a.Renew(fpA); err != nil {
 		t.Fatalf("renew: %v", err)
 	}
-	if err := b.Renew(fpA); !errors.Is(err, store.ErrLeaseLost) {
-		t.Fatalf("foreign renew = %v, want ErrLeaseLost", err)
+	if err := b.Renew(fpA); !errors.Is(err, ErrFenced) {
+		t.Fatalf("foreign renew = %v, want ErrFenced", err)
 	}
 	a.Release(fpA)
 	if ok, _, _ = b.Claim(fpA); !ok {
@@ -230,10 +255,73 @@ func TestLeaseWrappersBindNodeIdentity(t *testing.T) {
 	}
 }
 
+// countingArbiter counts the acquires that reach the arbiter.
+type countingArbiter struct {
+	arbiterAPI
+	acquires atomic.Int64
+}
+
+func (c *countingArbiter) AcquireLease(key, holder string, ttl time.Duration) (store.Lease, bool, error) {
+	c.acquires.Add(1)
+	return c.arbiterAPI.AcquireLease(key, holder, ttl)
+}
+
+// TestMemberSerializesItsOwnClaims pins the member half of the one
+// acquire rule: the arbiter grants a holder's repeated acquire (a
+// retried lost response), so a member must answer "busy" itself when a
+// second local worker claims a key it holds — without asking.
+func TestMemberSerializesItsOwnClaims(t *testing.T) {
+	a, _ := clockedArbiter(t, t.TempDir())
+	arb := &countingArbiter{arbiterAPI: a}
+	cfg := testConfig
+	cfg.NodeID = "node-a"
+	m, err := startMember(cfg, arb)
+	if err != nil {
+		t.Fatalf("start member: %v", err)
+	}
+	defer m.Leave()
+
+	if ok, _, err := m.Claim(fpA); !ok || err != nil {
+		t.Fatalf("claim = %v, %v", ok, err)
+	}
+	ok, busy, err := m.Claim(fpA)
+	if ok || err != nil || busy.Holder != "node-a" {
+		t.Fatalf("second local claim = %v %+v %v, want busy under node-a", ok, busy, err)
+	}
+	if n := arb.acquires.Load(); n != 1 {
+		t.Fatalf("arbiter saw %d acquires, want 1: a held key is busy locally", n)
+	}
+	m.Release(fpA)
+
+	// Sixteen workers of one node race on one key: exactly one wins.
+	var wins atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if ok, _, _ := m.Claim(fpB); ok {
+				wins.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if wins.Load() != 1 {
+		t.Fatalf("%d local workers won the same key, want 1", wins.Load())
+	}
+}
+
+// stored reports whether st holds a record for fp.
+func stored(st *store.Store) func(string) bool {
+	return func(fp string) bool {
+		_, ok, _ := st.Get(fp)
+		return ok
+	}
+}
+
 func TestAdoptSubmitsForeignSweepsExactlyOnce(t *testing.T) {
-	st := sharedStore(t)
-	origin := join(t, st, "origin", RolePeer)
-	runner := join(t, st, "runner", RoleRunner)
+	st, origin := coordinator(t)
+	runner := member(t, origin, "runner", RoleRunner)
 
 	if err := origin.AnnounceSweep(fpA, "sweep", json.RawMessage(`{"a":1}`), 0); err != nil {
 		t.Fatalf("announce: %v", err)
@@ -252,7 +340,7 @@ func TestAdoptSubmitsForeignSweepsExactlyOnce(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runner.Adopt(stop, func(a Announcement) error {
+		Watch(runner, stop, WatchHooks{HasResult: stored(st), Submit: func(a Announcement) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if fullOnce {
@@ -262,7 +350,7 @@ func TestAdoptSubmitsForeignSweepsExactlyOnce(t *testing.T) {
 			}
 			submitted = append(submitted, a.Fingerprint)
 			return nil
-		})
+		}})
 	}()
 
 	deadline := time.After(3 * time.Second)
@@ -292,9 +380,8 @@ func TestAdoptSubmitsForeignSweepsExactlyOnce(t *testing.T) {
 }
 
 func TestAdoptRetiresFinishedSweeps(t *testing.T) {
-	st := sharedStore(t)
-	origin := join(t, st, "origin", RolePeer)
-	runner := join(t, st, "runner", RoleRunner)
+	st, origin := coordinator(t)
+	runner := member(t, origin, "runner", RoleRunner)
 
 	if err := origin.AnnounceSweep(fpA, "sweep", json.RawMessage(`{}`), 0); err != nil {
 		t.Fatalf("announce: %v", err)
@@ -305,30 +392,30 @@ func TestAdoptRetiresFinishedSweeps(t *testing.T) {
 		t.Fatalf("store put: %v", err)
 	}
 
-	seen := make(map[string]bool)
-	runner.adoptOnce(seen, func(a Announcement) error {
-		t.Fatalf("finished sweep %s was offered for adoption", a.Fingerprint)
-		return nil
-	})
+	w := &watcher{b: runner, seen: make(map[string]bool), h: WatchHooks{HasResult: stored(st),
+		Submit: func(a Announcement) error {
+			t.Fatalf("finished sweep %s was offered for adoption", a.Fingerprint)
+			return nil
+		}}}
+	w.adoptOnce()
 	if anns, _ := origin.Announcements(); len(anns) != 0 {
 		t.Fatalf("finished announcement not retired: %+v", anns)
 	}
 }
 
 func TestAdoptReadoptsAfterRetirementAndReannounce(t *testing.T) {
-	st := sharedStore(t)
-	origin := join(t, st, "origin", RolePeer)
-	runner := join(t, st, "runner", RoleRunner)
+	st, origin := coordinator(t)
+	runner := member(t, origin, "runner", RoleRunner)
 
-	seen := make(map[string]bool)
 	submitted := 0
-	submit := func(Announcement) error { submitted++; return nil }
+	w := &watcher{b: runner, seen: make(map[string]bool), h: WatchHooks{HasResult: stored(st),
+		Submit: func(Announcement) error { submitted++; return nil }}}
 
 	if err := origin.AnnounceSweep(fpA, "sweep", json.RawMessage(`{}`), 0); err != nil {
 		t.Fatalf("announce: %v", err)
 	}
-	runner.adoptOnce(seen, submit)
-	runner.adoptOnce(seen, submit)
+	w.adoptOnce()
+	w.adoptOnce()
 	if submitted != 1 {
 		t.Fatalf("first announcement submitted %d times, want 1", submitted)
 	}
@@ -338,42 +425,34 @@ func TestAdoptReadoptsAfterRetirementAndReannounce(t *testing.T) {
 	// fingerprint. The runner must adopt it again, not remember it
 	// forever.
 	origin.CompleteSweep(fpA)
-	runner.adoptOnce(seen, submit) // prunes the retired fingerprint
+	w.adoptOnce() // prunes the retired fingerprint
 	if err := origin.AnnounceSweep(fpA, "sweep", json.RawMessage(`{}`), 0); err != nil {
 		t.Fatalf("re-announce: %v", err)
 	}
-	runner.adoptOnce(seen, submit)
+	w.adoptOnce()
 	if submitted != 2 {
 		t.Fatalf("re-announced sweep submitted %d times total, want 2", submitted)
 	}
 }
 
-// TestNodesLivenessUsesOwnersHeartbeat pins the mixed-TTL case: a
+// TestNodesLivenessUsesOwnersHeartbeat pins the mixed-cadence case: a
 // node heartbeating slowly must be judged by its own cadence, not the
-// observer's faster one.
+// arbiter's default.
 func TestNodesLivenessUsesOwnersHeartbeat(t *testing.T) {
-	st := sharedStore(t)
-	a := join(t, st, "node-a", RolePeer) // observer heartbeat: 50ms
-	slow := NodeInfo{ID: "node-slow", Role: RolePeer,
-		StartedAt: time.Now().UTC().Add(-time.Hour),
-		LastSeen:  time.Now().UTC().Add(-10 * time.Second),
-		Heartbeat: time.Minute}
-	if err := a.writeDoc(a.nodePath(slow.ID), slow); err != nil {
-		t.Fatalf("plant slow node: %v", err)
+	a, clk := clockedArbiter(t, t.TempDir()) // default heartbeat: 1s
+	if err := a.RegisterNode(NodeInfo{ID: "node-slow", Heartbeat: time.Minute}); err != nil {
+		t.Fatalf("register: %v", err)
 	}
+	clk.advance(10 * time.Second)
 	nodes, err := a.Nodes()
 	if err != nil {
 		t.Fatalf("nodes: %v", err)
 	}
-	for _, n := range nodes {
-		if n.ID == "node-slow" && !n.Alive {
-			t.Fatalf("slow-heartbeat node judged dead by a fast observer: %+v", n)
-		}
+	if len(nodes) != 1 || !nodes[0].Alive {
+		t.Fatalf("slow-heartbeat node judged dead by the arbiter's faster default: %+v", nodes)
 	}
-}
-
-func TestSanitize(t *testing.T) {
-	if got := sanitize("host-1.local_9/..x"); got != "host-1.local_9_..x" {
-		t.Fatalf("sanitize = %q", got)
+	clk.advance(3 * time.Minute)
+	if nodes, _ = a.Nodes(); nodes[0].Alive {
+		t.Fatalf("node silent for three of its own intervals still alive: %+v", nodes)
 	}
 }

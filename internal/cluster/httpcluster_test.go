@@ -33,7 +33,8 @@ import (
 type coordNode struct {
 	dir string
 	st  *store.Store
-	cl  *cluster.Cluster
+	cl  *cluster.Member
+	srv *cluster.Server
 	eng *engine.Engine
 	ts  *httptest.Server
 }
@@ -54,23 +55,22 @@ func startCoordinator(t *testing.T, workers int) *coordNode {
 		t.Fatalf("join coordinator: %v", err)
 	}
 	eng := engine.New(engine.Options{Workers: workers, Store: st, Cluster: cl, NodeID: "coord"})
-	srv := service.New(eng,
-		service.WithCluster(cl),
-		service.WithClusterServer(cluster.NewServer(st, cl)))
+	cs := cluster.NewServer(st, cl)
+	srv := service.New(eng, service.WithCluster(cl), service.WithClusterServer(cs))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		shutdownEngine(t, eng)
 		cl.Leave()
 	})
-	return &coordNode{dir: dir, st: st, cl: cl, eng: eng, ts: ts}
+	return &coordNode{dir: dir, st: st, cl: cl, srv: cs, eng: eng, ts: ts}
 }
 
-// runnerNode is one diskless member: an HTTPBackend joined over the
-// fault transport, an engine whose result store is the coordinator's
-// (via RPC), and the watch loop wired the way cobrad wires it.
+// runnerNode is one diskless member: joined over the fault transport,
+// with an engine whose result store is the coordinator's (via RPC) and
+// the watch loop wired the way cobrad wires it.
 type runnerNode struct {
-	hb  *cluster.HTTPBackend
+	hb  *cluster.Member
 	eng *engine.Engine
 	ft  *faulttransport.Transport
 }
@@ -331,16 +331,16 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestHTTPClusterCoordinatorRestart kills the coordinator process
 // mid-sweep — 503s on its address — and brings up a fresh one over the
 // same data dir. The sweep was submitted to a runner, so its parent
-// survives; lease fencing tokens live in the lease files, so renewals
-// issued across the restart are still honored; and the journal comes
-// out exactly-once because every mutation that failed during the
-// outage was an idempotent retry.
+// survives; leases and the token counter persist in the arbiter's
+// state file, so renewals issued across the restart are still honored;
+// and the journal comes out exactly-once because every mutation that
+// failed during the outage was an idempotent retry.
 func TestHTTPClusterCoordinatorRestart(t *testing.T) {
 	spec := sweep12(301)
 	golden := singleNodeGolden(t, spec)
 
 	dir := t.TempDir()
-	boot := func() (*store.Store, *cluster.Cluster, *engine.Engine, http.Handler) {
+	boot := func() (*store.Store, *cluster.Member, *engine.Engine, http.Handler) {
 		st, err := store.Open(dir)
 		if err != nil {
 			t.Fatalf("open coordinator store: %v", err)
@@ -437,7 +437,7 @@ func TestHTTPClusterCancellationPropagates(t *testing.T) {
 		Sizes: []int{64, 96, 128, 160, 192, 224, 256, 288, 320, 352, 384, 416},
 		K:     2, Trials: 20, Seed: 401,
 	}
-	// A ghost holds the first point's lease on the coordinator's store
+	// A ghost holds the first point's lease on the coordinator's arbiter
 	// until the assertions are done, so neither copy of the sweep can
 	// finish before the cancel lands. The point is seeded as the sweep
 	// seeds it: graph stream 9000, trial stream 0.
@@ -449,10 +449,11 @@ func TestHTTPClusterCancellationPropagates(t *testing.T) {
 		Process: "cobra", Graph: graph, GraphSeed: rng.Stream(spec.Seed, 9000),
 		Params: process.Params{"k": 2.0}, Trials: spec.Trials, Seed: rng.Stream(spec.Seed, 0),
 	})
-	if _, ok, err := coord.st.AcquireLease(held, "ghost", time.Minute); err != nil || !ok {
+	ghost, ok, err := coord.srv.AcquireLease(held, "ghost", time.Minute)
+	if err != nil || !ok {
 		t.Fatalf("ghost acquire = %v, %v", ok, err)
 	}
-	defer coord.st.ReleaseLease(held, "ghost")
+	defer coord.srv.ReleaseLease(held, "ghost", ghost.Token)
 
 	job, err := r1.eng.Submit(spec, 0)
 	if err != nil {

@@ -6,14 +6,21 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
+	"repro/internal/cluster/faulttransport"
+	"repro/internal/engine"
+	"repro/internal/process"
 )
 
 // postJSON posts body to url and decodes the response into out (when
@@ -129,7 +136,7 @@ func TestHTTPLeaseFencingRejectsStaleRelease(t *testing.T) {
 		cluster.LeaseMutateRequest{Holder: "node-a", Token: la.Lease.Token}, nil); code != http.StatusConflict {
 		t.Fatalf("stale renew = %d, want 409", code)
 	}
-	if cur, ok := coord.st.Lease(key); !ok || cur.Holder != "node-b" || cur.Token != lb.Lease.Token {
+	if cur, ok := coord.srv.Lease(key); !ok || cur.Holder != "node-b" || cur.Token != lb.Lease.Token {
 		t.Fatalf("b's lease disturbed by stale mutations: %+v ok=%v", cur, ok)
 	}
 
@@ -143,14 +150,14 @@ func TestHTTPLeaseFencingRejectsStaleRelease(t *testing.T) {
 	if code, _ := postJSON(t, relURL, req, nil); code != http.StatusOK {
 		t.Fatalf("duplicate release = %d, want 200 (retry-safe)", code)
 	}
-	if _, ok := coord.st.Lease(key); ok {
+	if _, ok := coord.srv.Lease(key); ok {
 		t.Fatal("lease still standing after release")
 	}
 }
 
 // TestHTTPLeaseExpiredStealSingleWinner lets 16 concurrent claimants
-// race for a key whose lease expired: the store's locked lease
-// read-check-write behind the HTTP route must crown exactly one.
+// race for a key whose lease expired: the arbiter's compare-and-swap
+// behind the HTTP route must crown exactly one.
 func TestHTTPLeaseExpiredStealSingleWinner(t *testing.T) {
 	coord := startCoordinator(t, 1)
 	base := coord.ts.URL
@@ -182,7 +189,7 @@ func TestHTTPLeaseExpiredStealSingleWinner(t *testing.T) {
 	if winners != 1 {
 		t.Fatalf("%d of 16 concurrent claimants won the expired lease, want exactly 1: %v", winners, wins)
 	}
-	if cur, ok := coord.st.Lease(key); !ok || cur.Token <= lg.Lease.Token {
+	if cur, ok := coord.srv.Lease(key); !ok || cur.Token <= lg.Lease.Token {
 		t.Fatalf("winning lease %+v (ok=%v) does not fence out the ghost's token %d", cur, ok, lg.Lease.Token)
 	}
 }
@@ -210,4 +217,98 @@ func TestHTTPLeaseReacquireIsIdempotentPerHolder(t *testing.T) {
 	if other, _ := acquire(t, base, key, "node-b", 5*time.Second); other.Acquired {
 		t.Fatalf("foreign acquire granted while the lease is live: %+v", other)
 	}
+}
+
+// loseFirstResponse lets the first request to path execute on the
+// server and then loses its response, as a flaky network would; it
+// counts every request to path.
+type loseFirstResponse struct {
+	path  string
+	lost  atomic.Bool
+	calls atomic.Int64
+}
+
+func (l *loseFirstResponse) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != l.path {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	l.calls.Add(1)
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && l.lost.CompareAndSwap(false, true) {
+		resp.Body.Close()
+		return nil, errors.New("response lost")
+	}
+	return resp, err
+}
+
+// TestHTTPMemberRetriedAcquireKeepsToken: a -cluster-url member whose
+// acquire response is lost retries, is granted the lease it already
+// holds with the original token, and can release it. A second local
+// claim of the held key is busy without another RPC.
+func TestHTTPMemberRetriedAcquireKeepsToken(t *testing.T) {
+	coord := startCoordinator(t, 1)
+	const key = "lost-acquire-point"
+	rt := &loseFirstResponse{path: "/v1/cluster/leases"}
+	m, err := cluster.JoinHTTP(cluster.HTTPConfig{BaseURL: coord.ts.URL, NodeID: "runner-a",
+		LeaseTTL: 5 * time.Second, Heartbeat: 100 * time.Millisecond, Client: &http.Client{Transport: rt}})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	defer m.Leave()
+
+	ok, lease, err := m.Claim(key)
+	if err != nil || !ok {
+		t.Fatalf("claim across a lost response = %v, %v", ok, err)
+	}
+	if cur, held := coord.srv.Lease(key); !held || rt.calls.Load() != 2 || cur.Token != lease.Token {
+		t.Fatalf("arbiter lease %+v after %d acquire RPCs; want the member's token %d after 2",
+			cur, rt.calls.Load(), lease.Token)
+	}
+	if ok, _, err := m.Claim(key); ok || err != nil || rt.calls.Load() != 2 {
+		t.Fatalf("second local claim = %v, %v after %d RPCs; want busy with no RPC", ok, err, rt.calls.Load())
+	}
+	m.Release(key)
+	if cur, held := coord.srv.Lease(key); held {
+		t.Fatalf("release with the retried token left %+v", cur)
+	}
+}
+
+// TestHTTPMemberExactlyOnceWithinOneNode is the same-node race over
+// -cluster-url: two identical in-flight specs on one runner's two
+// workers compute once. The arbiter grants a holder's repeated
+// acquire, so the member itself must turn the second worker away.
+func TestHTTPMemberExactlyOnceWithinOneNode(t *testing.T) {
+	coord := startCoordinator(t, 1)
+	r := startRunner(t, coord.ts.URL, "runner-1", faulttransport.Config{Seed: 41})
+	graph, err := cli.FamilySpec("cycle", 2048)
+	if err != nil {
+		t.Fatalf("family spec: %v", err)
+	}
+	spec := func() *engine.ProcessSpec {
+		return &engine.ProcessSpec{Process: "cobra", Graph: graph,
+			Params: process.Params{"k": 2.0}, Trials: 40, Seed: 41}
+	}
+	var jobs []*engine.Job
+	for i := 0; i < 2; i++ {
+		j, err := r.eng.Submit(spec(), 0)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		jobs = append(jobs, j)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, j := range jobs {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+	}
+	if m := r.eng.Metrics(); m.Computed != 1 {
+		t.Fatalf("identical in-flight specs computed %d times on one runner, want 1", m.Computed)
+	}
+	entries, err := coord.cl.Journal()
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	assertJournalExactlyOnce(t, entries, 1)
 }

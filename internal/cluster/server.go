@@ -1,113 +1,48 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"time"
-
 	"repro/internal/store"
 )
 
-// ErrFenced is returned when a lease mutation carries a stale fencing
-// token or the wrong holder: the request was issued by a holder that
-// has since lost the lease. The current lease is left untouched.
-var ErrFenced = errors.New("cluster: lease fenced: stale holder or token")
-
-// Server is the coordinator-side authority behind the /v1/cluster/*
-// routes. It arbitrates every remote operation through the same
-// filesystem store and cluster membership the coordinator's own
-// workers use, so local workers and HTTP runners contend on one set of
-// leases, write one journal, and see one announcement queue — the
-// exactly-once story does not depend on which transport a node used.
+// Server is the arbiter's face toward the /v1/cluster/* routes: the
+// lease, registry, announcement, cancellation and journal operations of
+// the arbiter a coordinator hosts, plus the coordinator's result store.
+// The service handlers call it on behalf of remote members; the
+// coordinator's own member calls the same arbiter in-process, so local
+// workers and HTTP runners contend on one lease table, write one
+// journal, and see one announcement queue.
 //
-// Lease mutations are fenced: Renew and Release demand the holder and
-// the token minted at acquisition, so a delayed or duplicated request
-// from a holder whose lease already expired (and was reclaimed) is
-// rejected instead of clobbering the current holder's claim. Tokens
-// live in the lease files, so fencing survives coordinator restarts.
+// Lease mutations are fenced: renew and release demand the holder and
+// the token minted at acquisition, checked and applied in one critical
+// section, so a delayed or duplicated request from a holder whose lease
+// expired (and was reclaimed) is rejected instead of clobbering the
+// current claim. Leases and the token counter persist in state.json, so
+// fencing survives a coordinator restart.
 type Server struct {
+	*arbiter
 	st *store.Store
-	cl *Cluster
 }
 
-// NewServer wraps the coordinator's store and cluster membership in
-// the RPC authority.
-func NewServer(st *store.Store, cl *Cluster) *Server {
-	return &Server{st: st, cl: cl}
-}
-
-// clampTTL bounds a remote-requested TTL to sane values; zero selects
-// the coordinator's own TTL.
-func (s *Server) clampTTL(ttl time.Duration) time.Duration {
-	if ttl <= 0 {
-		return s.cl.LeaseTTL()
-	}
-	if ttl > time.Hour {
-		return time.Hour
-	}
-	return ttl
-}
-
-// AcquireLease claims key for a remote holder. The returned lease
-// carries the fencing token the holder must present on renew/release.
-//
-// The acquire is re-entrant per holder: when the blocking lease is
-// live and already held by the requester, the request is a retry of
-// the same logical claim whose response was lost, so it is granted —
-// renewed, with the original token — instead of refused. (The
-// filesystem backend refuses same-holder re-acquires to serialize
-// workers within one node; over an at-least-once transport that rule
-// would wedge every lost acquire response until TTL expiry. The cost
-// is that two workers of one remote node racing on a key may both be
-// granted; results are content-addressed and the journal is
-// create-if-absent per key, so the duplicate work stays invisible.)
-func (s *Server) AcquireLease(key, holder string, ttl time.Duration) (store.Lease, bool, error) {
-	lease, ok, err := s.st.AcquireLease(key, holder, s.clampTTL(ttl))
-	if err != nil || ok {
-		return lease, ok, err
-	}
-	if lease.Holder == holder && !lease.Expired(time.Now().UTC()) {
-		renewed, rerr := s.st.RenewLease(key, holder, s.clampTTL(ttl))
-		if rerr == nil {
-			return renewed, true, nil
-		}
-	}
-	return lease, false, nil
-}
-
-// RenewLease extends a remote holder's lease. The holder must present
-// the token from its acquisition; a mismatch — the lease expired and
-// was reclaimed, or the request is a stale duplicate — is ErrFenced.
-func (s *Server) RenewLease(key, holder string, token int64, ttl time.Duration) (store.Lease, error) {
-	cur, ok := s.st.Lease(key)
-	if !ok || cur.Holder != holder || cur.Token != token {
-		return store.Lease{}, ErrFenced
-	}
-	lease, err := s.st.RenewLease(key, holder, s.clampTTL(ttl))
-	if err != nil {
-		return store.Lease{}, ErrFenced
-	}
-	return lease, nil
-}
-
-// ReleaseLease drops a remote holder's lease. Releasing a key with no
-// lease is a no-op (the release may be a harmless retry after the
-// response was lost); releasing with the wrong holder or a stale token
-// is ErrFenced and leaves the current lease standing.
-func (s *Server) ReleaseLease(key, holder string, token int64) error {
-	cur, ok := s.st.Lease(key)
-	if !ok {
+// NewServer returns the RPC face of the arbiter cl hosts, serving
+// results from st, the store cl joined with. It returns nil for a
+// member that joined over HTTP: such a member hosts no arbiter.
+func NewServer(st *store.Store, cl *Member) *Server {
+	if cl.host == nil {
 		return nil
 	}
-	if cur.Holder != holder || cur.Token != token {
-		return ErrFenced
-	}
-	return s.st.ReleaseLease(key, holder)
+	return &Server{arbiter: cl.host, st: st}
 }
 
-// Lease exposes the current lease on key, for handlers and tests.
-func (s *Server) Lease(key string) (store.Lease, bool) { return s.st.Lease(key) }
+// Join adds a member to this arbiter in-process: another engine in the
+// coordinator's process, claiming under its own node identity exactly
+// as the coordinator's member and remote members do.
+func (s *Server) Join(cfg Config) (*Member, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return startMember(cfg, s.arbiter)
+}
 
 // GetResult reads one content-addressed record from the store.
 func (s *Server) GetResult(key string) ([]byte, bool, error) { return s.st.Get(key) }
@@ -116,51 +51,3 @@ func (s *Server) GetResult(key string) ([]byte, bool, error) { return s.st.Get(k
 // content-addressed, so a re-push after a lost response rewrites the
 // same bytes.
 func (s *Server) PutResult(key string, payload []byte) error { return s.st.Put(key, payload) }
-
-// RegisterNode upserts a remote member in the node registry.
-func (s *Server) RegisterNode(n NodeInfo) error { return s.cl.RegisterNode(n) }
-
-// UnregisterNode removes a remote member from the registry.
-func (s *Server) UnregisterNode(id string) { s.cl.UnregisterNode(id) }
-
-// Nodes returns the registry view.
-func (s *Server) Nodes() ([]NodeInfo, error) { return s.cl.Nodes() }
-
-// RecordComputed journals a computation by a remote node,
-// create-if-absent per key so neither redelivered RPCs nor racing
-// duplicate computations mint duplicate ledger entries.
-func (s *Server) RecordComputed(key, node string) error {
-	if key == "" || node == "" {
-		return fmt.Errorf("cluster: journal record needs key and node")
-	}
-	s.cl.RecordComputedBy(key, node)
-	return nil
-}
-
-// Journal returns the compute ledger.
-func (s *Server) Journal() ([]JournalEntry, error) { return s.cl.Journal() }
-
-// Announce publishes a sweep on behalf of a remote origin.
-func (s *Server) Announce(origin, fp, kind string, spec json.RawMessage, priority int) error {
-	if fp == "" || origin == "" {
-		return fmt.Errorf("cluster: announcement needs fingerprint and origin")
-	}
-	return s.cl.AnnounceSweepFrom(origin, fp, kind, spec, priority)
-}
-
-// CompleteSweep retires an announcement.
-func (s *Server) CompleteSweep(fp string) { s.cl.CompleteSweep(fp) }
-
-// Announcements returns the published sweeps.
-func (s *Server) Announcements() ([]Announcement, error) { return s.cl.Announcements() }
-
-// Cancel publishes a cancellation marker on behalf of a remote node.
-func (s *Server) Cancel(node, fp string) error {
-	if fp == "" || node == "" {
-		return fmt.Errorf("cluster: cancellation needs fingerprint and node")
-	}
-	return s.cl.CancelSweepFrom(node, fp)
-}
-
-// Cancellations returns the live cancellation markers.
-func (s *Server) Cancellations() ([]CancelRecord, error) { return s.cl.Cancellations() }

@@ -14,8 +14,8 @@ var errRequeue = errors.New("engine: requeue behind foreign lease")
 
 // execute runs j's spec to an output. On a single node that is a plain
 // Spec.Run; in a cluster (Options.Cluster set) the worker first
-// arbitrates through the shared store so each fingerprint is computed
-// once cluster-wide:
+// arbitrates through the cluster's arbiter so each fingerprint is
+// computed once cluster-wide:
 //
 //  1. adopt — if a peer already stored the result, take it as-is;
 //  2. claim — try to take the point's lease; the winner computes,

@@ -11,67 +11,93 @@ import (
 	"repro/internal/store"
 )
 
-// clusterNode is one simulated cobrad process: its own Store instance
-// and cluster membership over the shared directory, and its own engine.
+// clusterNode is one cluster member and its own engine. The first node
+// of a test hosts the arbiter over a store; the others join that
+// arbiter in-process under their own identities, as the coordinator
+// and its runners share one arbiter in a real cluster.
 type clusterNode struct {
 	st  *store.Store
-	cl  *cluster.Cluster
+	cl  *cluster.Member
+	srv *cluster.Server // the arbiter every node of the test claims through
 	eng *Engine
 }
 
-// newClusterNode joins dir as node id. Separate Store instances over
-// one directory model separate processes sharing a data dir.
-func newClusterNode(t *testing.T, dir, id string, role cluster.Role, workers int) *clusterNode {
+var testClusterConfig = cluster.Config{LeaseTTL: 400 * time.Millisecond,
+	Heartbeat: 50 * time.Millisecond, Poll: 20 * time.Millisecond}
+
+// newClusterHost opens a store and hosts the arbiter as node id.
+func newClusterHost(t *testing.T, id string, role cluster.Role, workers int) *clusterNode {
 	t.Helper()
-	st, err := store.Open(dir)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open store for %s: %v", id, err)
 	}
-	cl, err := cluster.Join(st, cluster.Config{
-		NodeID:    id,
-		Role:      role,
-		LeaseTTL:  400 * time.Millisecond,
-		Heartbeat: 50 * time.Millisecond,
-		Poll:      20 * time.Millisecond,
-	})
+	cfg := testClusterConfig
+	cfg.NodeID, cfg.Role = id, role
+	cl, err := cluster.Join(st, cfg)
 	if err != nil {
 		t.Fatalf("join %s: %v", id, err)
 	}
-	eng := New(Options{Workers: workers, Store: st, Cluster: cl, NodeID: id})
+	return startClusterNode(t, st, cl, cluster.NewServer(st, cl), workers)
+}
+
+// join adds node id to h's arbiter, with an engine over the same store.
+func (h *clusterNode) join(t *testing.T, id string, role cluster.Role, workers int) *clusterNode {
+	t.Helper()
+	cfg := testClusterConfig
+	cfg.NodeID, cfg.Role = id, role
+	cl, err := h.srv.Join(cfg)
+	if err != nil {
+		t.Fatalf("join %s: %v", id, err)
+	}
+	return startClusterNode(t, h.st, cl, h.srv, workers)
+}
+
+func startClusterNode(t *testing.T, st *store.Store, cl *cluster.Member, srv *cluster.Server, workers int) *clusterNode {
+	eng := New(Options{Workers: workers, Store: st, Cluster: cl, NodeID: cl.NodeID()})
 	t.Cleanup(func() {
 		shutdown(t, eng)
 		cl.Leave()
 	})
-	return &clusterNode{st: st, cl: cl, eng: eng}
+	return &clusterNode{st: st, cl: cl, srv: srv, eng: eng}
 }
 
-// joinGhost joins dir as a member that never heartbeats and runs no
-// engine: tests claim leases through it the way a stalled or dead peer
-// would hold them.
-func joinGhost(t *testing.T, dir string, leaseTTL time.Duration) (*store.Store, *cluster.Cluster) {
+// ghostClaim takes key's lease for a member that never renews and runs
+// no engine, the way a stalled or dead node holds it; the returned
+// release drops it.
+func (h *clusterNode) ghostClaim(t *testing.T, key string, ttl time.Duration) (release func()) {
 	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("open ghost store: %v", err)
+	l, ok, err := h.srv.AcquireLease(key, "ghost", ttl)
+	if err != nil || !ok {
+		t.Fatalf("ghost claim = %v, %v", ok, err)
 	}
-	ghost, err := cluster.Join(st, cluster.Config{
-		NodeID: "ghost", LeaseTTL: leaseTTL,
-		Heartbeat: time.Hour, Poll: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("join ghost: %v", err)
-	}
-	t.Cleanup(ghost.Leave)
-	return st, ghost
+	return func() { _ = h.srv.ReleaseLease(key, "ghost", l.Token) }
+}
+
+// watchAdopt runs n's watch loop with adoption wired to submit, until
+// the test ends.
+func (n *clusterNode) watchAdopt(t *testing.T, submit func(cluster.Announcement) error) {
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cluster.Watch(n.cl, stop, cluster.WatchHooks{
+			HasResult: func(fp string) bool {
+				_, ok, _ := n.st.Get(fp)
+				return ok
+			},
+			Submit: submit,
+		})
+	}()
+	t.Cleanup(func() { close(stop); <-done })
 }
 
 // TestClusterExactlyOnceCompute submits the identical spec to two
 // engines at once: the lease must let exactly one run it while the
 // other waits and then adopts the stored result.
 func TestClusterExactlyOnceCompute(t *testing.T) {
-	dir := t.TempDir()
-	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 2)
-	b := newClusterNode(t, dir, "node-b", cluster.RolePeer, 2)
+	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 2)
+	b := a.join(t, "node-b", cluster.RolePeer, 2)
 
 	var runs atomic.Int64
 	release := make(chan struct{})
@@ -143,12 +169,11 @@ func TestClusterExactlyOnceCompute(t *testing.T) {
 
 // TestClusterExactlyOnceWithinOneNode pins the same-node race: two
 // identical in-flight specs on ONE engine (cache cannot dedupe a job
-// that has not finished) must still compute once — the lease is a
-// mutex even for its own holder, so the second worker waits and
+// that has not finished) must still compute once — the member answers
+// "busy" for a key it already holds, so the second worker waits and
 // adopts.
 func TestClusterExactlyOnceWithinOneNode(t *testing.T) {
-	dir := t.TempDir()
-	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 2)
+	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 2)
 
 	var runs atomic.Int64
 	release := make(chan struct{})
@@ -197,16 +222,10 @@ func TestClusterExactlyOnceWithinOneNode(t *testing.T) {
 // a ghost holds the point's lease and never renews it, so the live
 // engine must wait out the TTL, reclaim, and compute.
 func TestClusterLeaseReclaim(t *testing.T) {
-	dir := t.TempDir()
-	_, ghost := joinGhost(t, dir, 300*time.Millisecond)
-
+	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 1)
 	spec := &testSpec{Name: "reclaimed", Payload: 9}
-	fp := Fingerprint(spec)
-	if ok, _, err := ghost.Claim(fp); err != nil || !ok {
-		t.Fatalf("ghost claim = %v, %v", ok, err)
-	}
+	a.ghostClaim(t, Fingerprint(spec), 300*time.Millisecond)
 
-	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 1)
 	start := time.Now()
 	job, err := a.eng.Submit(spec, 0)
 	if err != nil {
@@ -234,33 +253,25 @@ func TestClusterLeaseReclaim(t *testing.T) {
 // both finish, every point is computed exactly once cluster-wide, and
 // the announcement is retired.
 func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
-	dir := t.TempDir()
-	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 2)
-	b := newClusterNode(t, dir, "node-b", cluster.RoleRunner, 2)
-	_, ghost := joinGhost(t, dir, time.Minute)
+	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 2)
+	b := a.join(t, "node-b", cluster.RoleRunner, 2)
 
 	// The runner adoption loop, wired the way cobrad wires it.
-	adoptStop := make(chan struct{})
-	adoptDone := make(chan struct{})
 	var adoptedSweep atomic.Int64
-	go func() {
-		defer close(adoptDone)
-		b.cl.Adopt(adoptStop, func(ann cluster.Announcement) error {
-			if b.eng.HasLiveFingerprint(ann.Fingerprint) {
-				return nil
-			}
-			spec, err := DecodeSpec(ann.Kind, ann.Spec)
-			if err != nil {
-				return nil
-			}
-			if _, err := b.eng.Submit(spec, ann.Priority); err != nil {
-				return err
-			}
-			adoptedSweep.Add(1)
+	b.watchAdopt(t, func(ann cluster.Announcement) error {
+		if b.eng.HasLiveFingerprint(ann.Fingerprint) {
 			return nil
-		})
-	}()
-	defer func() { close(adoptStop); <-adoptDone }()
+		}
+		spec, err := DecodeSpec(ann.Kind, ann.Spec)
+		if err != nil {
+			return nil
+		}
+		if _, err := b.eng.Submit(spec, ann.Priority); err != nil {
+			return err
+		}
+		adoptedSweep.Add(1)
+		return nil
+	})
 
 	spec := &SweepSpec{
 		Child: "process", Process: "cobra", Family: "cycle",
@@ -273,10 +284,9 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("points: %v", err)
 	}
+	var releases []func()
 	for _, pt := range pts {
-		if ok, _, err := ghost.Claim(Fingerprint(pt.spec)); err != nil || !ok {
-			t.Fatalf("ghost claim = %v, %v", ok, err)
-		}
+		releases = append(releases, a.ghostClaim(t, Fingerprint(pt.spec), time.Minute))
 	}
 	job, err := a.eng.Submit(spec, 0)
 	if err != nil {
@@ -284,7 +294,7 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 	}
 
 	// The runner must adopt the announcement and finish its own copy of
-	// the sweep (served from leases and the shared store).
+	// the sweep (served from leases and the coordinator's store).
 	deadline := time.After(20 * time.Second)
 	for adoptedSweep.Load() == 0 {
 		select {
@@ -293,8 +303,8 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	for _, pt := range pts {
-		ghost.Release(Fingerprint(pt.spec))
+	for _, release := range releases {
+		release()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -369,14 +379,13 @@ func TestClusterSweepAdoptionDrainsAcrossNodes(t *testing.T) {
 
 // TestClusterFinishedSweepIsNotAdopted pins the adoption skip against a
 // real engine-stored aggregate: a sweep whose aggregate is already in
-// the shared store is retired by the runner, never submitted, even
+// the coordinator's store is retired by the runner, never submitted, even
 // while its announcement is still live — the state an origin leaves
 // behind when it crashes between storing the aggregate and retiring the
 // announcement.
 func TestClusterFinishedSweepIsNotAdopted(t *testing.T) {
-	dir := t.TempDir()
-	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 2)
-	b := newClusterNode(t, dir, "node-b", cluster.RoleRunner, 2)
+	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 2)
+	b := a.join(t, "node-b", cluster.RoleRunner, 2)
 
 	spec := &SweepSpec{
 		Child: "process", Process: "cobra", Family: "cycle",
@@ -409,16 +418,10 @@ func TestClusterFinishedSweepIsNotAdopted(t *testing.T) {
 	}
 
 	var submitted atomic.Int64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		b.cl.Adopt(stop, func(cluster.Announcement) error {
-			submitted.Add(1)
-			return nil
-		})
-	}()
-	defer func() { close(stop); <-done }()
+	b.watchAdopt(t, func(cluster.Announcement) error {
+		submitted.Add(1)
+		return nil
+	})
 
 	// Only the runner's finished-sweep check retires an announcement
 	// here, so its retirement proves the runner scanned it.
@@ -562,15 +565,10 @@ func TestSweepPartialResumeSchedulesOnlyMissing(t *testing.T) {
 // ghost peer, the second job must still complete — the worker may not
 // park its only slot behind the foreign lease.
 func TestClusterBlockedWorkerRotatesToClaimableWork(t *testing.T) {
-	dir := t.TempDir()
-	ghostStore, ghost := joinGhost(t, dir, time.Minute)
-
+	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 1)
 	blocked := &testSpec{Name: "held-by-ghost", Payload: 1}
-	if ok, _, err := ghost.Claim(Fingerprint(blocked)); err != nil || !ok {
-		t.Fatalf("ghost claim = %v, %v", ok, err)
-	}
+	releaseGhost := a.ghostClaim(t, Fingerprint(blocked), time.Minute)
 
-	a := newClusterNode(t, dir, "node-a", cluster.RolePeer, 1)
 	jBlocked, err := a.eng.Submit(blocked, 0)
 	if err != nil {
 		t.Fatalf("submit blocked: %v", err)
@@ -588,10 +586,10 @@ func TestClusterBlockedWorkerRotatesToClaimableWork(t *testing.T) {
 
 	// Unblock: the ghost "finishes" by storing the result and releasing.
 	data, _ := json.Marshal(&Output{Values: []float64{1}})
-	if err := ghostStore.Put(Fingerprint(blocked), data); err != nil {
+	if err := a.st.Put(Fingerprint(blocked), data); err != nil {
 		t.Fatalf("ghost put: %v", err)
 	}
-	ghost.Release(Fingerprint(blocked))
+	releaseGhost()
 	if out, err := jBlocked.Wait(ctx); err != nil || out.Values[0] != 1 {
 		t.Fatalf("blocked job after release: out=%v err=%v", out, err)
 	}
@@ -628,8 +626,7 @@ func TestHasLiveFingerprint(t *testing.T) {
 // TestClusterStatusCarriesNode pins the node identity field end to end
 // through a sweep's parent and children.
 func TestClusterStatusCarriesNode(t *testing.T) {
-	dir := t.TempDir()
-	a := newClusterNode(t, dir, "tagged-node", cluster.RolePeer, 2)
+	a := newClusterHost(t, "tagged-node", cluster.RoleCoordinator, 2)
 	spec := &SweepSpec{
 		Child: "process", Process: "cobra", Family: "cycle",
 		Sizes: []int{8, 10}, K: 2, Trials: 1, Seed: 3,

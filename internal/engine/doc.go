@@ -2,7 +2,7 @@
 // worker pool fed by a priority FIFO queue, with per-job cancellation,
 // progress reporting, a content-addressed result cache, server-side
 // sweep fan-out, and — when clustered — lease-arbitrated execution
-// shared with every other engine on the same data directory.
+// shared with every other engine of the cluster.
 //
 // The engine is the single execution core shared by the batch CLIs
 // (cmd/covertime, cmd/experiments) and the cobrad HTTP daemon
@@ -45,7 +45,7 @@
 // # Cluster execution
 //
 // With Options.Cluster set, workers arbitrate every point through the
-// shared store before running it: adopt the stored result if a peer
+// cluster's arbiter before running it: adopt the stored result if a peer
 // already computed it; else claim the point's lease and compute,
 // heartbeating the lease and persisting the result before releasing;
 // else wait out the holder, reclaiming its lease if it expires (a dead

@@ -96,13 +96,12 @@ type Options struct {
 	// so builds are still deduplicated within the engine.
 	Graphs *graphstore.Store
 	// Cluster, when non-nil, makes job execution lease-aware: workers
-	// arbitrate each point through the shared store (adopt a stored
-	// result, else claim the point's lease, else wait for the holder),
-	// so a fingerprint is computed once across every engine sharing the
-	// backend; sweeps are announced to the cluster so runner/peer
-	// nodes help drain them. Requires Store. Takes any cluster.Backend:
-	// the shared-directory *cluster.Cluster or the network-native
-	// *cluster.HTTPBackend.
+	// arbitrate each point through the cluster's arbiter (adopt a
+	// stored result, else claim the point's lease, else wait for the
+	// holder), so a fingerprint is computed once across every engine in
+	// the cluster; sweeps are announced to the cluster so runner/peer
+	// nodes help drain them. Requires Store. Takes any cluster.Backend,
+	// normally the node's *cluster.Member.
 	Cluster cluster.Backend
 	// Logger, when non-nil, receives structured job-lifecycle records
 	// (start, finish, state, duration) with the job's trace identifier
@@ -146,7 +145,7 @@ type Metrics struct {
 	// peer. Across a cluster, the Computed totals should sum to the
 	// number of distinct points — the exactly-once accounting.
 	Computed int64 `json:"computed"`
-	// Adopted counts results taken from the shared store after another
+	// Adopted counts results taken from the store after another
 	// cluster node computed them.
 	Adopted int64 `json:"adopted"`
 	// LeaseWaits counts jobs that had to wait on a foreign lease at

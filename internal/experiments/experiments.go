@@ -1,6 +1,6 @@
 // Package experiments implements the paper-reproduction experiments
-// E1-E16 indexed in DESIGN.md: one experiment per theorem, lemma-level
-// mechanism, or remark of the paper. Each experiment runs a Monte Carlo
+// E1-E20: one experiment per theorem, lemma-level mechanism, or remark
+// of the paper. Each experiment runs a Monte Carlo
 // workload on the relevant graph families, renders result tables, and
 // extracts headline findings (scaling exponents, bound-satisfaction
 // ratios) whose shape the paper's theory predicts.

@@ -387,19 +387,44 @@ func TestEdgeFromIndexCoversAllPairs(t *testing.T) {
 	n := 9
 	seen := map[[2]int32]bool{}
 	total := int64(n * (n - 1) / 2)
+	c := pairCursor{n: int64(n)}
 	for i := int64(0); i < total; i++ {
-		u, v := edgeFromIndex(n, i)
+		u, v := c.at(i)
 		if u >= v || v >= int32(n) {
-			t.Fatalf("edgeFromIndex(%d) = (%d,%d) invalid", i, u, v)
+			t.Fatalf("pair %d = (%d,%d) invalid", i, u, v)
 		}
 		key := [2]int32{u, v}
 		if seen[key] {
-			t.Fatalf("edgeFromIndex repeated pair (%d,%d)", u, v)
+			t.Fatalf("pair cursor repeated (%d,%d)", u, v)
 		}
 		seen[key] = true
 	}
 	if int64(len(seen)) != total {
-		t.Fatal("edgeFromIndex did not enumerate all pairs")
+		t.Fatal("pair cursor did not enumerate all pairs")
+	}
+}
+
+// TestPairCursorMatchesRowOrder pins the cursor against the plain
+// row-order enumeration at every index, both walking every index and
+// skipping ahead by varying strides from fresh cursors.
+func TestPairCursorMatchesRowOrder(t *testing.T) {
+	for _, n := range []int{2, 3, 7, 16} {
+		var want [][2]int32
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				want = append(want, [2]int32{int32(u), int32(v)})
+			}
+		}
+		for stride := 1; stride <= 5; stride++ {
+			for first := 0; first < stride; first++ {
+				c := pairCursor{n: int64(n)}
+				for i := first; i < len(want); i += stride {
+					if u, v := c.at(int64(i)); [2]int32{u, v} != want[i] {
+						t.Fatalf("n=%d stride=%d: index %d gave (%d,%d), want %v", n, stride, i, u, v, want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -210,11 +210,13 @@ func ErdosRenyi(n int, p float64, connect bool, seed uint64) *Graph {
 	}
 	r := rng.New(seed)
 	b := NewBuilder(n, fmt.Sprintf("gnp(n=%d,p=%.4g)", n, p))
-	// Geometric skipping over the implicit edge enumeration: O(m) time.
+	// Geometric skipping over the implicit edge enumeration, with a
+	// row cursor that only moves forward: O(n + m) time.
 	if p > 0 {
 		logq := math.Log1p(-p)
 		total := int64(n) * int64(n-1) / 2
 		pos := int64(-1)
+		pairs := pairCursor{n: int64(n)}
 		for {
 			var skip int64
 			if p >= 1 {
@@ -233,8 +235,7 @@ func ErdosRenyi(n int, p float64, connect bool, seed uint64) *Graph {
 			if pos >= total {
 				break
 			}
-			u, v := edgeFromIndex(n, pos)
-			b.AddEdge(u, v)
+			b.AddEdge(pairs.at(pos))
 		}
 	}
 	g := b.MustBuild()
@@ -244,19 +245,23 @@ func ErdosRenyi(n int, p float64, connect bool, seed uint64) *Graph {
 	return g
 }
 
-// edgeFromIndex maps a linear index in [0, n(n-1)/2) to the corresponding
-// unordered pair (u, v) with u < v, enumerating pairs in row order.
-func edgeFromIndex(n int, idx int64) (int32, int32) {
-	// Row u starts at offset u*n - u*(u+1)/2 - u... Solve by scanning rows
-	// arithmetically: row u has n-1-u entries.
-	u := int64(0)
-	rowLen := int64(n - 1)
-	for idx >= rowLen {
-		idx -= rowLen
-		u++
-		rowLen--
+// pairCursor maps linear indices in [0, n(n-1)/2) to the unordered
+// pairs (u, v), u < v, of the row-order enumeration: row u holds
+// (u, u+1) … (u, n-1). Indices must not decrease between calls, so the
+// row scan resumes where the previous call stopped and a whole pass
+// costs O(n + m) rather than O(n) per index.
+type pairCursor struct {
+	n     int64
+	u     int64 // current row
+	start int64 // index of (u, u+1)
+}
+
+func (c *pairCursor) at(idx int64) (int32, int32) {
+	for rowLen := c.n - 1 - c.u; idx >= c.start+rowLen; rowLen-- {
+		c.start += rowLen
+		c.u++
 	}
-	return int32(u), int32(u + 1 + idx)
+	return int32(c.u), int32(c.u + 1 + idx - c.start)
 }
 
 // connectComponents links every component of g to the component of vertex

@@ -11,22 +11,23 @@ import (
 	"repro/internal/cluster"
 )
 
-// The /v1/cluster/* routes are the coordinator side of the HTTP
-// cluster backend: remote runners push lease claims, results, journal
-// records, announcements, cancellations, and node heartbeats here
-// instead of writing a shared data directory. Handlers split in two
-// tiers:
+// The /v1/cluster/* routes are the coordinator's arbiter on the wire:
+// every -cluster-url member sends its lease claims, results, journal
+// records, announcements, cancellations, and node heartbeats here, and
+// the coordinator's own member calls the same arbiter in-process.
+// Handlers split in two tiers:
 //
 //   - reads (journal, nodes, sweeps, cancels) are served by any
 //     clustered daemon through its Backend — a runner transparently
 //     proxies them to its coordinator;
-//   - mutations demand the coordinator's store authority (WithClusterServer)
-//     and answer 503 unavailable elsewhere, so a runner can never be
-//     mistaken for a lease arbiter.
+//   - mutations demand the arbiter (WithClusterServer) and answer 503
+//     unavailable elsewhere, so a runner can never be mistaken for the
+//     arbiter.
 //
 // Lease mutations are fenced: a renew/release whose holder or token
 // does not match the current lease answers 409 lease_lost and leaves
-// the lease untouched.
+// the lease untouched; the check and the mutation are one critical
+// section of the arbiter.
 
 // maxResultBytes bounds one pushed result record.
 const maxResultBytes = 128 << 20
@@ -76,7 +77,7 @@ func (s *Server) clusterRegisterNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cs.RegisterNode(n); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"registered": true, "node": n.ID})
@@ -119,7 +120,7 @@ func (s *Server) clusterAcquireLease(w http.ResponseWriter, r *http.Request) {
 	lease, acquired, err := s.cs.AcquireLease(req.Key, req.Holder,
 		time.Duration(req.TTLMillis)*time.Millisecond)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, cluster.LeaseResponse{Acquired: acquired, Lease: lease})
@@ -138,7 +139,7 @@ func (s *Server) clusterRenewLease(w http.ResponseWriter, r *http.Request) {
 	lease, err := s.cs.RenewLease(r.PathValue("key"), req.Holder, req.Token,
 		time.Duration(req.TTLMillis)*time.Millisecond)
 	if err != nil {
-		writeLeaseError(w, err)
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, cluster.LeaseResponse{Acquired: true, Lease: lease})
@@ -157,19 +158,26 @@ func (s *Server) clusterReleaseLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cs.ReleaseLease(r.PathValue("key"), req.Holder, req.Token); err != nil {
-		writeLeaseError(w, err)
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"released": true})
 }
 
-func writeLeaseError(w http.ResponseWriter, err error) {
-	if errors.Is(err, cluster.ErrFenced) {
+// writeClusterError maps an arbiter error onto the envelope: a fencing
+// rejection is 409 lease_lost, a malformed request 400, and anything
+// else — the arbiter failed to persist, or is shutting down — a
+// retryable 500.
+func writeClusterError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, cluster.ErrFenced):
 		writeError(w, http.StatusConflict, codeLeaseLost, err,
 			"the lease expired and was reclaimed; re-claim instead of renewing")
-		return
+	case errors.Is(err, cluster.ErrInvalid):
+		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
+	default:
+		writeError(w, http.StatusInternalServerError, codeInternal, err, "")
 	}
-	writeError(w, http.StatusInternalServerError, codeInternal, err, "")
 }
 
 // clusterGetResult serves GET /v1/cluster/results/{key}: the stored
@@ -232,7 +240,7 @@ func (s *Server) clusterRecordComputed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cs.RecordComputed(req.Key, req.Node); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"recorded": true})
@@ -265,7 +273,7 @@ func (s *Server) clusterAnnounce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cs.Announce(req.Origin, req.Fingerprint, req.Kind, req.Spec, req.Priority); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"announced": true})
@@ -309,7 +317,7 @@ func (s *Server) clusterCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cs.Cancel(req.Node, req.Fingerprint); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"canceled": true})

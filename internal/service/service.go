@@ -35,19 +35,18 @@ type Option func(*Server)
 
 // WithCluster exposes a cluster membership on GET /v1/nodes and the
 // read tier of /v1/cluster/*. Without it those endpoints report a
-// single-node daemon. Pass any Backend — the shared-directory
-// *cluster.Cluster or an *cluster.HTTPBackend (which proxies reads to
-// its coordinator).
+// single-node daemon. Pass the node's Backend: on the coordinator it
+// reads the arbiter in-process, on a runner it proxies reads to the
+// coordinator.
 func WithCluster(cl cluster.Backend) Option {
 	return func(s *Server) { s.cl = cl }
 }
 
-// WithClusterServer mounts the coordinator authority behind the
+// WithClusterServer mounts the coordinator's arbiter behind the
 // mutation tier of /v1/cluster/* — lease CAS with fencing tokens,
 // result pushes, journal records, announcements, node registration.
-// Only a daemon that owns the cluster's store (the coordinator, or
-// any disk-backed member) should carry it; without it those routes
-// answer 503 unavailable.
+// Only the daemon that hosts the arbiter (the coordinator) carries
+// it; without it those routes answer 503 unavailable.
 func WithClusterServer(cs *cluster.Server) Option {
 	return func(s *Server) { s.cs = cs }
 }
@@ -178,8 +177,8 @@ func (s *Server) processes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"processes": process.Catalog()})
 }
 
-// nodes serves cluster discovery: the registered members of the shared
-// data directory with liveness judged from their heartbeats. On a
+// nodes serves cluster discovery: the members registered with the
+// arbiter, with liveness judged from their heartbeats. On a
 // single-node daemon it reports {"cluster": false} and an empty list.
 func (s *Server) nodes(w http.ResponseWriter, r *http.Request) {
 	if s.cl == nil {

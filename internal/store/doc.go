@@ -1,7 +1,7 @@
 // Package store is the disk persistence layer under the engine: a
-// content-addressed record store for results, plus the advisory lease
-// subsystem that lets multiple nodes share one store directory as a
-// cluster.
+// content-addressed record store for results. It also defines Lease,
+// the claim type the cluster arbiter (internal/cluster) grants over
+// keys.
 //
 // # Records
 //
@@ -17,30 +17,14 @@
 // GC applies the installed Limits (size cap, max age) oldest-first
 // without ever blocking writers; see Store.GC.
 //
-// # Leases
-//
-// AcquireLease, RenewLease, and ReleaseLease implement advisory,
-// TTL-bounded mutual exclusion over keys, shared by every process on
-// the directory. Each is a plain read-check-write of the lease file
-// under one lock: leaseMu among this Store's goroutines and, on unix,
-// an exclusive flock(2) on leases/.lock among processes. An acquire
-// succeeds only over an absent or expired lease, so exactly one
-// contender steals a dead holder's claim, and renewal and release are
-// holder-only. Leases save duplicate work; they do not carry
-// correctness — the records they guard are deterministic and
-// content-addressed, so the worst protocol race costs a byte-identical
-// recomputation.
-//
 // # Layout
 //
 // On-disk layout under the store root:
 //
 //	<root>/results/<key[:2]>/<key>.json   one record per key, sharded
-//	<root>/leases/<key>.json              advisory lease records
-//	<root>/leases/.lock                   flock(2) target serializing leases
 //	<root>/tmp/                           staging area for atomic writes
 //
-// The cluster layer (internal/cluster) keeps its node registry, sweep
-// announcements, and compute journal under <root>/cluster/, beside —
-// not inside — the store's own trees.
+// The cluster arbiter (internal/cluster) keeps its leases, sweep
+// announcements, cancellations and compute journal under
+// <root>/cluster/, beside — not inside — the store's own trees.
 package store

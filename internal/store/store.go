@@ -35,6 +35,36 @@ type Limits struct {
 	MaxAge time.Duration
 }
 
+// Lease is one advisory claim over a key, as the cluster arbiter
+// (internal/cluster) grants it: held by exactly one holder until it
+// expires or is released, after which another holder may take it.
+//
+// Leases are a work-saving mechanism, not a correctness mechanism: the
+// records they guard are content-addressed and deterministic, so the
+// worst outcome of a lease race (a holder stalled past its TTL while a
+// peer reclaims) is duplicate computation of an identical record —
+// never a wrong or partial result.
+type Lease struct {
+	// Key is the leased key, usually a spec fingerprint.
+	Key string `json:"key"`
+	// Holder identifies the owning node.
+	Holder string `json:"holder"`
+	// AcquiredAt is when the current holder first took the lease.
+	AcquiredAt time.Time `json:"acquired_at"`
+	// ExpiresAt is the deadline after which the lease may be reclaimed.
+	ExpiresAt time.Time `json:"expires_at"`
+	// Token fences this acquisition: minted once per acquire (never per
+	// renewal) from the arbiter's persisted counter, so it strictly
+	// increases across successive holders of a key and across arbiter
+	// restarts. Renew and release must present it, so a delayed or
+	// duplicated message from a holder that already lost the lease
+	// cannot disturb the current one.
+	Token int64 `json:"token,omitempty"`
+}
+
+// Expired reports whether the lease's TTL has elapsed as of now.
+func (l Lease) Expired(now time.Time) bool { return now.After(l.ExpiresAt) }
+
 // entry is the in-memory accounting for one record: what GC needs to
 // pick eviction victims without re-reading disk.
 type entry struct {
@@ -53,13 +83,6 @@ type Store struct {
 	limits  Limits
 	evicted int64
 	skipped int
-
-	// leaseMu and leaseLock (an open handle on leases/.lock) together
-	// make every lease read-check-write atomic: leaseMu among this
-	// Store's goroutines, a flock(2) on leaseLock among Store instances
-	// and processes sharing the directory (see lockLeases).
-	leaseMu   sync.Mutex
-	leaseLock *os.File
 }
 
 // Open creates (if needed) and scans a store rooted at dir. The scan is
@@ -68,7 +91,7 @@ type Store struct {
 // Stale temp files from crashed writers are removed.
 func Open(dir string) (*Store, error) {
 	s := &Store{root: dir, keys: make(map[string]entry)}
-	for _, sub := range []string{s.resultsDir(), s.tmpDir(), s.leasesDir()} {
+	for _, sub := range []string{s.resultsDir(), s.tmpDir()} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
@@ -108,13 +131,6 @@ func Open(dir string) (*Store, error) {
 			s.keys[key] = meta
 		}
 	}
-	// Opened last, so no error return above leaks it; the handle lives
-	// as long as the Store.
-	lock, err := os.OpenFile(filepath.Join(s.leasesDir(), ".lock"), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	s.leaseLock = lock
 	return s, nil
 }
 

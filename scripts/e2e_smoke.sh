@@ -2,17 +2,19 @@
 # End-to-end cluster + durability smoke for cobrad, driven through the
 # cobractl client so the typed SDK is exercised against real daemons:
 #
-#   1. start a two-node cluster (coordinator + runner) sharing one
-#      persistent data dir, and check /v1/nodes discovery;
+#   1. start a two-node cluster — a coordinator hosting the arbiter on
+#      its data dir and a -cluster-url runner — check /v1/nodes
+#      discovery, and check that a second coordinator on the same data
+#      dir refuses to start;
 #   2. submit one 12-point sweep to the coordinator and let both nodes
 #      drain it through leased claims;
 #   3. SIGKILL the runner mid-sweep: the coordinator reclaims its
 #      expired leases and the sweep still completes, with the compute
-#      journal showing every stored point computed exactly once,
-#      spread across both nodes, with zero duplicates;
-#   4. restart from scratch on the same data dir and resubmit the
+#      journal (cobractl journal) showing every stored point computed
+#      exactly once, spread across both nodes, with zero duplicates;
+#   4. restart the coordinator on the same data dir and resubmit the
 #      sweep: served from the store as a cache hit, byte-identical
-#      result, zero trials re-run;
+#      result, zero trials re-run, journal unchanged;
 #   5. network-native cluster with NO shared filesystem: a coordinator
 #      and two -cluster-url runners on disjoint temp dirs, joined over
 #      loopback HTTP only; one runner is SIGKILLed mid-sweep and the
@@ -39,7 +41,6 @@ BASE_D="http://127.0.0.1:${PORT_D}"
 BASE_G="http://127.0.0.1:${PORT_G}"
 WORK="$(mktemp -d)"
 DATA="${WORK}/data"
-JOURNAL="${DATA}/cluster/journal"
 COBRAD="${WORK}/cobrad"
 COBRACTL="${WORK}/cobractl"
 LEASE_TTL=3s
@@ -115,19 +116,27 @@ stop_daemon() { # graceful
 ctl_a() { "${COBRACTL}" -server "${BASE_A}" "$@"; }
 ctl_c() { "${COBRACTL}" -server "${BASE_C}" "$@"; }
 
-journal_total() { find "${JOURNAL}" -name '*.json' 2>/dev/null | wc -l; }
-journal_cat() { find "${JOURNAL}" -name '*.json' -exec cat {} + 2>/dev/null; }
+# The compute journal, read through the coordinator named by $1.
+journal_total() { "${COBRACTL}" -server "$1" journal -json | jq '.entries | length'; }
 journal_nodes() { # distinct computing nodes so far
-  journal_cat | jq -rs '[.[].node] | unique | length'
+  "${COBRACTL}" -server "$1" journal -json | jq '[.entries[].node] | unique | length'
 }
 
 echo "e2e: building cobrad and cobractl"
 go build -o "${COBRAD}" ./cmd/cobrad
 go build -o "${COBRACTL}" ./cmd/cobractl
 
-echo "e2e: starting two-node cluster on ${DATA} (coordinator a, runner b)"
+echo "e2e: starting two-node cluster (coordinator a on ${DATA}, -cluster-url runner b)"
 start_daemon a "${PORT_A}" coordinator; PID_A="${DAEMON_PID}"
-start_daemon b "${PORT_B}" runner; PID_B="${DAEMON_PID}"
+start_http_runner b "${PORT_B}" "${BASE_A}"; PID_B="${DAEMON_PID}"
+
+echo "e2e: a second coordinator on the same data dir must refuse to start"
+if timeout 20 "${COBRAD}" -addr "127.0.0.1:${PORT_G}" -data-dir "${DATA}" -cluster coordinator \
+     -node-id intruder >"${WORK}/cobrad.intruder.log" 2>&1; then
+  fail "second coordinator on ${DATA} started; one data dir must have one arbiter"
+fi
+grep -q "already has an arbiter" "${WORK}/cobrad.intruder.log" \
+  || fail "second coordinator failed for the wrong reason: $(cat "${WORK}/cobrad.intruder.log")"
 
 echo "e2e: discovery — processes and nodes"
 PROCS="$(ctl_a processes -json | jq '.processes | length')"
@@ -145,8 +154,8 @@ echo "e2e: sweep ${JOB_ID} submitted"
 
 echo "e2e: waiting until both nodes have computed points, then killing the runner"
 for i in $(seq 1 300); do
-  TOTAL="$(journal_total)"
-  DISTINCT="$(journal_nodes)"
+  TOTAL="$(journal_total "${BASE_A}")"
+  DISTINCT="$(journal_nodes "${BASE_A}")"
   if [ "${TOTAL}" -ge 2 ] && [ "${DISTINCT:-0}" -ge 2 ] && [ "${TOTAL}" -lt 12 ]; then
     break
   fi
@@ -159,7 +168,7 @@ for i in $(seq 1 300); do
   sleep 0.1
 done
 kill -9 "${PID_B}"
-echo "e2e: runner b SIGKILLed with the sweep $(journal_total)/12 computed"
+echo "e2e: runner b SIGKILLed with the sweep $(journal_total "${BASE_A}")/12 computed"
 
 echo "e2e: watching the sweep to completion on the survivor (SSE)"
 timeout 180 "${COBRACTL}" -server "${BASE_A}" watch "${JOB_ID}" 2>"${WORK}/watch.log" \
@@ -167,13 +176,14 @@ timeout 180 "${COBRACTL}" -server "${BASE_A}" watch "${JOB_ID}" 2>"${WORK}/watch
 grep -q "state=done" "${WORK}/watch.log" || fail "watch log missing terminal state"
 
 echo "e2e: exactly-once accounting across the kill"
-TOTAL="$(journal_total)"
-UNIQUE="$(journal_cat | jq -rs '[.[].key] | unique | length')"
-DISTINCT="$(journal_nodes)"
+J="$(ctl_a journal -json)"
+TOTAL="$(jq '.entries | length' <<<"${J}")"
+UNIQUE="$(jq '[.entries[].key] | unique | length' <<<"${J}")"
+DISTINCT="$(jq '[.entries[].node] | unique | length' <<<"${J}")"
 [ "${TOTAL}" -eq 12 ] || fail "journal has ${TOTAL} compute records, want exactly 12 (duplicate or lost work)"
 [ "${UNIQUE}" -eq 12 ] || fail "journal spans ${UNIQUE} distinct points, want 12 — some point was computed twice"
 [ "${DISTINCT}" -eq 2 ] || fail "journal credits ${DISTINCT} nodes, want both a and b"
-B_POINTS="$(journal_cat | jq -rs '[.[] | select(.node=="b")] | length')"
+B_POINTS="$(jq '[.entries[] | select(.node=="b")] | length' <<<"${J}")"
 echo "e2e: 12 points computed exactly once (runner b contributed ${B_POINTS} before dying)"
 
 ctl_a result "${JOB_ID}" -json | jq -S '.result' >"${WORK}/result.first.json"
@@ -190,11 +200,12 @@ ctl_a submit -process cobra -graph regular:1024,5 -graph-seed 42 -trials 2 -seed
   || fail "artifact-seeding job failed"
 [ -n "$(find "${DATA}/graphs" -name '*.g' 2>/dev/null)" ] \
   || fail "no graph artifacts persisted under ${DATA}/graphs"
-JOURNAL_BASE="$(journal_total)"  # 12 sweep points + the seeding job
+ctl_a journal -json >"${WORK}/journal.before.json"  # 12 sweep points + the seeding job
+JOURNAL_BASE="$(jq '.entries | length' "${WORK}/journal.before.json")"
 
-echo "e2e: full restart — fresh peer on the same data dir"
+echo "e2e: full restart — a fresh coordinator on the same data dir"
 stop_daemon "${PID_A}"
-start_daemon c "${PORT_C}" peer; PID_C="${DAEMON_PID}"
+start_daemon c "${PORT_C}" coordinator; PID_C="${DAEMON_PID}"
 
 RESUBMIT="$(ctl_c "${SWEEP_ARGS[@]}")"
 CACHE_HIT="$(jq -r '.sweep.cache_hit' <<<"${RESUBMIT}")"
@@ -214,8 +225,9 @@ COMPUTED_AFTER="$(awk '/^cobrad_points_computed_total/ {print $2}' <<<"${METRICS
 COMPLETED_AFTER="$(awk '/^cobrad_jobs_completed_total/ {print $2}' <<<"${METRICS}")"
 [ "${COMPUTED_AFTER}" -eq 0 ] || fail "restarted node computed ${COMPUTED_AFTER} points, want 0"
 [ "${COMPLETED_AFTER}" -eq 1 ] || fail "restarted node completed ${COMPLETED_AFTER} jobs, want 1 (the cache-served parent)"
-[ "$(journal_total)" -eq "${JOURNAL_BASE}" ] \
-  || fail "journal grew to $(journal_total) records after the resubmit, want still ${JOURNAL_BASE}"
+ctl_c journal -json >"${WORK}/journal.after.json"
+cmp -s "${WORK}/journal.before.json" "${WORK}/journal.after.json" \
+  || fail "journal changed across the restart and resubmit: $(jq '.entries | length' "${WORK}/journal.after.json") records, want the same ${JOURNAL_BASE}"
 
 echo "e2e: service regressions — schema discovery, two-process sweep, listing determinism"
 ctl_c processes -json | jq -e '.processes[] | select(.name=="cobra") | .params | length > 0' >/dev/null \
@@ -306,7 +318,7 @@ D_POINTS="$(jq '[.entries[] | select(.node=="d")] | length' <<<"${NET_J}")"
 [ "${E_POINTS}" -ge 1 ] && [ "${D_POINTS}" -ge 1 ] || fail "survivors d (${D_POINTS}) and e (${E_POINTS}) must both appear in the journal"
 
 echo "e2e: HTTP runner e kept nothing clustered on its disjoint dir"
-[ ! -e "${DATA_E}/cluster" ] && [ ! -e "${DATA_E}/leases" ] \
+[ ! -e "${DATA_E}/cluster" ] \
   || fail "runner e wrote cluster state under its private dir: $(ls "${DATA_E}")"
 
 echo "e2e: killed HTTP runner drops out of coordinator-registered discovery"
@@ -330,4 +342,4 @@ cmp -s "${WORK}/result.net.json" "${WORK}/result.single.json" \
 stop_daemon "${PID_E}"
 stop_daemon "${PID_D}"
 stop_daemon "${PID_G}"
-echo "e2e: PASS — two-node cluster drained a 12-point sweep through leased claims, survived a SIGKILL mid-sweep with every point computed exactly once (b contributed ${B_POINTS}), a full restart served the identical sweep with zero trials re-run, and a no-shared-filesystem HTTP cluster completed the same sweep exactly once (d=${D_POINTS} e=${E_POINTS}) byte-identical to a single node"
+echo "e2e: PASS — coordinator + -cluster-url runner drained a 12-point sweep through leased claims, survived a SIGKILL mid-sweep with every point computed exactly once (b contributed ${B_POINTS}), a full restart served the identical sweep with zero trials re-run, and a no-shared-filesystem HTTP cluster completed the same sweep exactly once (d=${D_POINTS} e=${E_POINTS}) byte-identical to a single node"
