@@ -68,11 +68,12 @@ cover:
 	$(GO) test -coverprofile=coverage.out $(COVER_PKGS)
 	./scripts/coverage_gate.sh coverage.out 80
 
-# Fuzz every decoder that reads disk bytes — graph artifacts and the
-# cluster arbiter's state and journal — for 15s each. The seed corpora
-# also run under plain go test.
+# Fuzz every decoder that reads disk bytes — graph artifacts, result
+# records, and the cluster arbiter's state and journal — for 15s each.
+# The seed corpora also run under plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 15s ./internal/cluster/
 

@@ -40,22 +40,23 @@
 // resolve through a content-addressed artifact store under
 // <data-dir>/graphs: built once per (spec, seed) fingerprint, then
 // mmapped by every process sharing the directory; -graph-cache-bytes
-// bounds its disk footprint.
+// bounds its disk footprint. Both stores sit on one file layer
+// (store.Files), and one GC loop sweeps both every -store-gc-interval.
 //
 // Several cobrad instances form a cluster around one arbiter. The
 // coordinator (-cluster coordinator with -data-dir) hosts it: point
 // leases with fencing tokens, the node registry, sweep announcements,
 // cancellations and the exactly-once compute journal, kept beside its
-// result store. Runners (-cluster runner or peer) join it with
-// -cluster-url and need no shared filesystem: their lease claims,
-// results, journal records and heartbeats are /v1/cluster/* RPCs, and
-// the coordinator's own workers claim through the same arbiter
-// in-process. A sweep submitted to any node is announced, runners adopt
-// it, and every point is computed exactly once cluster-wide. A killed
-// node's leases expire after -lease-ttl and survivors re-run only the
-// points it never stored. A runner's -data-dir is optional and holds
-// only its graph artifact cache; a second coordinator on the same
-// -data-dir fails at startup.
+// result store. Runners (-cluster runner) join it with -cluster-url
+// and need no shared filesystem: their lease claims, results, journal
+// records and heartbeats are /v1/cluster/* RPCs, and the coordinator's
+// own workers claim through the same arbiter in-process. A sweep
+// submitted to any node is announced, runners adopt it, and every point
+// is computed exactly once cluster-wide. A killed node's leases expire
+// after -lease-ttl and survivors re-run only the points it never
+// stored. A runner's -data-dir is optional and holds only its graph
+// artifact cache; a second coordinator on the same -data-dir fails at
+// startup.
 //
 //	cobrad -addr :8080 -data-dir /var/lib/cobrad -cluster coordinator -node-id a &
 //	cobrad -addr :8081 -cluster runner -cluster-url http://127.0.0.1:8080 -node-id b &
@@ -103,8 +104,8 @@ func main() {
 		storeMaxAge   = flag.Duration("store-max-age", 0, "persistent store record retention; older records evicted (0 disables)")
 		storeGCEvery  = flag.Duration("store-gc-interval", time.Minute, "how often the store GC sweep runs")
 		graphCacheMax = flag.Int64("graph-cache-bytes", 0, "graph artifact store size cap in bytes; oldest artifacts evicted beyond it (0 disables)")
-		clusterMode   = flag.String("cluster", "off", "cluster role: off|coordinator|runner|peer (a coordinator hosts the arbiter on -data-dir; runner and peer join it with -cluster-url)")
-		clusterURL    = flag.String("cluster-url", "", "coordinator base URL to join over HTTP (runner/peer roles)")
+		clusterMode   = flag.String("cluster", "off", "cluster role: off|coordinator|runner (a coordinator hosts the arbiter on -data-dir; a runner joins it with -cluster-url)")
+		clusterURL    = flag.String("cluster-url", "", "coordinator base URL to join over HTTP (runner role)")
 		nodeID        = flag.String("node-id", "", "cluster node identity (default <hostname>-<pid>)")
 		leaseTTL      = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "point lease TTL; a dead node's work is reclaimed after this long")
 		logLevel      = flag.String("log-level", "info", "structured log level: debug|info|warn|error")
@@ -118,7 +119,7 @@ func main() {
 	case *clusterMode != "coordinator" && *clusterMode != "off" && *clusterURL == "":
 		fatal(fmt.Errorf("cobrad: -cluster %s joins the coordinator with -cluster-url", *clusterMode))
 	case *clusterMode == "off" && *clusterURL != "":
-		fatal(errors.New("cobrad: -cluster-url requires -cluster runner or -cluster peer"))
+		fatal(errors.New("cobrad: -cluster-url requires -cluster runner"))
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -136,16 +137,17 @@ func main() {
 		Registry:   reg,
 	}
 	gcStop := make(chan struct{})
-	var gcDone, graphGCDone chan struct{}
+	var gcDone chan struct{}
 	var backend *cluster.Member // the cluster membership, whatever its transport
 	var cs *cluster.Server      // the coordinator's arbiter: serves /v1/cluster/* mutations
 	if *dataDir != "" {
 		// With -cluster-url, the local directory holds only the graph
 		// artifact cache: results, leases, and the journal live on the
 		// coordinator.
+		var st *store.Store
 		if *clusterURL == "" {
-			st, err := store.Open(*dataDir)
-			if err != nil {
+			var err error
+			if st, err = store.Open(*dataDir); err != nil {
 				fatal(err)
 			}
 			if skipped := st.Skipped(); skipped > 0 {
@@ -153,11 +155,7 @@ func main() {
 			}
 			log.Printf("cobrad: persistent store at %s (%d records, %d bytes)", *dataDir, st.Len(), st.TotalBytes())
 			opts.Store = st
-			if *storeMaxBytes > 0 || *storeMaxAge > 0 {
-				st.SetLimits(store.Limits{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge})
-				gcDone = make(chan struct{})
-				go storeGCLoop(st, *storeGCEvery, gcStop, gcDone)
-			}
+			st.SetLimits(store.Limits{MaxBytes: *storeMaxBytes, MaxAge: *storeMaxAge})
 			if *clusterMode == "coordinator" {
 				cl, err := cluster.Join(st, cluster.Config{
 					NodeID:   *nodeID,
@@ -188,10 +186,10 @@ func main() {
 		log.Printf("cobrad: graph artifact store at %s (%d artifacts, %d bytes)",
 			filepath.Join(*dataDir, "graphs"), gstats.DiskFiles, gstats.DiskBytes)
 		opts.Graphs = gs
-		if *graphCacheMax > 0 {
-			gs.SetLimits(store.Limits{MaxBytes: *graphCacheMax})
-			graphGCDone = make(chan struct{})
-			go graphGCLoop(gs, *storeGCEvery, gcStop, graphGCDone)
+		gs.SetLimits(store.Limits{MaxBytes: *graphCacheMax})
+		if *storeMaxBytes > 0 || *storeMaxAge > 0 || *graphCacheMax > 0 {
+			gcDone = make(chan struct{})
+			go gcLoop(st, gs, *storeGCEvery, gcStop, gcDone)
 		}
 	}
 	if *clusterURL != "" {
@@ -330,9 +328,6 @@ func main() {
 	if gcDone != nil {
 		<-gcDone
 	}
-	if graphGCDone != nil {
-		<-graphGCDone
-	}
 	if backend != nil {
 		backend.Leave()
 	}
@@ -342,43 +337,27 @@ func main() {
 	log.Printf("cobrad: stopped")
 }
 
-// storeGCLoop applies the store's eviction limits on a fixed cadence —
-// once right away, so a daemon restarted over an oversized store trims
-// it before serving traffic, then every interval until shutdown.
-func storeGCLoop(st *store.Store, interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+// gcLoop applies both stores' eviction limits on one cadence: once right
+// away, so a daemon restarted over an oversized data directory trims it
+// before serving traffic, then every interval until shutdown. st is nil
+// on a -cluster-url runner, whose results live on the coordinator.
+func gcLoop(st *store.Store, gs *graphstore.Store, interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	sweep := func() {
-		removed, freed, err := st.GC(time.Now())
-		if err != nil {
-			log.Printf("cobrad: store gc: %v", err)
+		if st != nil {
+			removed, freed, err := st.GC(time.Now())
+			if err != nil {
+				log.Printf("cobrad: store gc: %v", err)
+			}
+			if removed > 0 {
+				log.Printf("cobrad: store gc evicted %d records (%d bytes); %d records (%d bytes) remain",
+					removed, freed, st.Len(), st.TotalBytes())
+			}
 		}
-		if removed > 0 {
-			log.Printf("cobrad: store gc evicted %d records (%d bytes); %d records (%d bytes) remain",
-				removed, freed, st.Len(), st.TotalBytes())
-		}
-	}
-	sweep()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			sweep()
-		}
-	}
-}
-
-// graphGCLoop mirrors storeGCLoop for the graph artifact store.
-func graphGCLoop(gs *graphstore.Store, interval time.Duration, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	sweep := func() {
-		removed, freed := gs.GC(time.Now())
-		if removed > 0 {
-			st := gs.Stats()
+		if removed, freed := gs.GC(time.Now()); removed > 0 {
+			gst := gs.Stats()
 			log.Printf("cobrad: graph gc evicted %d artifacts (%d bytes); %d artifacts (%d bytes) remain",
-				removed, freed, st.DiskFiles, st.DiskBytes)
+				removed, freed, gst.DiskFiles, gst.DiskBytes)
 		}
 	}
 	sweep()

@@ -12,8 +12,8 @@
 //   - the node registry: members re-register every heartbeat and the
 //     arbiter stamps last-seen with its own clock;
 //   - sweep announcements: a sweep submitted to any node is published
-//     under its fingerprint, and runner/peer nodes adopt it into their
-//     own engines, so one sweep drains across every machine;
+//     under its fingerprint, and runner nodes adopt it into their own
+//     engines, so one sweep drains across every machine;
 //   - cross-node cancellations;
 //   - the compute journal: each point a node actually computes (as
 //     opposed to adopting from the store) leaves one record, first
@@ -49,22 +49,19 @@ type Role string
 // Cluster roles. A coordinator hosts the arbiter, announces the sweeps
 // it receives and computes under leases but does not adopt foreign
 // announcements; a runner joins the coordinator and additionally adopts
-// announced sweeps into its own engine; a peer behaves as a runner
-// (every node announces, runners and peers adopt).
+// announced sweeps into its own engine (every node announces, runners
+// adopt).
 const (
 	RoleCoordinator Role = "coordinator"
 	RoleRunner      Role = "runner"
-	RolePeer        Role = "peer"
 )
 
 // Valid reports whether r names a known role.
-func (r Role) Valid() bool {
-	return r == RoleCoordinator || r == RoleRunner || r == RolePeer
-}
+func (r Role) Valid() bool { return r == RoleCoordinator || r == RoleRunner }
 
 // Adopts reports whether nodes with this role adopt foreign sweep
 // announcements.
-func (r Role) Adopts() bool { return r == RoleRunner || r == RolePeer }
+func (r Role) Adopts() bool { return r == RoleRunner }
 
 // Default intervals. LeaseTTL trades reclaim latency against tolerance
 // for stalls: a dead node's points become reclaimable one TTL after
@@ -78,7 +75,7 @@ type Config struct {
 	// NodeID identifies this node in leases, the registry, and the
 	// journal; defaults to "<hostname>-<pid>".
 	NodeID string
-	// Role selects the node's behavior; defaults to RolePeer.
+	// Role selects the node's behavior; defaults to RoleRunner.
 	Role Role
 	// Addr is the node's advertised API address, informational only.
 	Addr string
@@ -103,10 +100,10 @@ func (c Config) withDefaults() (Config, error) {
 		c.NodeID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	if c.Role == "" {
-		c.Role = RolePeer
+		c.Role = RoleRunner
 	}
 	if !c.Role.Valid() {
-		return c, fmt.Errorf("cluster: unknown role %q (valid: coordinator, runner, peer)", c.Role)
+		return c, fmt.Errorf("cluster: unknown role %q (valid: coordinator, runner)", c.Role)
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = DefaultLeaseTTL

@@ -52,7 +52,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("defaults: %v", err)
 	}
-	if cfg.NodeID == "" || cfg.Role != RolePeer || cfg.LeaseTTL != DefaultLeaseTTL {
+	if cfg.NodeID == "" || cfg.Role != RoleRunner || cfg.LeaseTTL != DefaultLeaseTTL {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.Heartbeat != cfg.LeaseTTL/3 {
@@ -61,10 +61,12 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if cfg.Poll < 50*time.Millisecond || cfg.Poll > time.Second {
 		t.Fatalf("poll default %v outside clamp", cfg.Poll)
 	}
-	if _, err := (Config{Role: "boss"}).withDefaults(); err == nil {
-		t.Fatal("unknown role accepted")
+	for _, role := range []Role{"boss", "peer"} {
+		if _, err := (Config{Role: role}).withDefaults(); err == nil {
+			t.Fatalf("unknown role %q accepted", role)
+		}
 	}
-	if !RoleRunner.Adopts() || !RolePeer.Adopts() || RoleCoordinator.Adopts() {
+	if !RoleRunner.Adopts() || RoleCoordinator.Adopts() {
 		t.Fatal("role adoption matrix wrong")
 	}
 }
@@ -155,7 +157,7 @@ func TestHeartbeatAdvancesLastSeen(t *testing.T) {
 
 func TestAnnounceIsIdempotentAndCompletable(t *testing.T) {
 	_, a := coordinator(t)
-	b := member(t, a, "node-b", RolePeer)
+	b := member(t, a, "node-b", RoleRunner)
 
 	spec := json.RawMessage(`{"child":"process","process":"cobra"}`)
 	if err := a.AnnounceSweep(fpA, "sweep", spec, 3); err != nil {
@@ -189,7 +191,7 @@ func TestAnnounceIsIdempotentAndCompletable(t *testing.T) {
 
 func TestJournalRecordsExactlyWhatWasComputed(t *testing.T) {
 	_, a := coordinator(t)
-	b := member(t, a, "node-b", RolePeer)
+	b := member(t, a, "node-b", RoleRunner)
 
 	a.RecordComputed(fpA)
 	b.RecordComputed(fpB)
@@ -230,7 +232,7 @@ func TestJournalRecordsExactlyWhatWasComputed(t *testing.T) {
 
 func TestLeaseWrappersBindNodeIdentity(t *testing.T) {
 	_, a := coordinator(t)
-	b := member(t, a, "node-b", RolePeer)
+	b := member(t, a, "node-b", RoleRunner)
 
 	ok, _, err := a.Claim(fpA)
 	if err != nil || !ok {

@@ -113,14 +113,6 @@ func NewGeneral(g *graph.Graph, branch BranchingFunc, maxSteps int, rnd *rng.Sou
 	}
 }
 
-// SetDenseTheta reconfigures the kernel-switch density θ (see
-// Config.DenseTheta: 0 selects DefaultDenseTheta, negative pins the walk
-// to the sparse kernel, θ >= N forces the dense kernel). Call it before
-// stepping; it does not retroactively affect rounds already executed.
-func (w *GeneralWalk) SetDenseTheta(theta int) {
-	w.denseCut = DenseCutoff(w.g.N(), theta)
-}
-
 // Reset restarts the walk with a single pebble at start.
 func (w *GeneralWalk) Reset(start int32) {
 	w.active = w.active[:0]

@@ -97,7 +97,7 @@ func (n *clusterNode) watchAdopt(t *testing.T, submit func(cluster.Announcement)
 // other waits and then adopts the stored result.
 func TestClusterExactlyOnceCompute(t *testing.T) {
 	a := newClusterHost(t, "node-a", cluster.RoleCoordinator, 2)
-	b := a.join(t, "node-b", cluster.RolePeer, 2)
+	b := a.join(t, "node-b", cluster.RoleRunner, 2)
 
 	var runs atomic.Int64
 	release := make(chan struct{})

@@ -49,7 +49,7 @@
 // already computed it; else claim the point's lease and compute,
 // heartbeating the lease and persisting the result before releasing;
 // else wait out the holder, reclaiming its lease if it expires (a dead
-// node). Sweeps are announced to the cluster so runner/peer nodes
-// adopt and help drain them. See internal/cluster for the coordination
+// node). Sweeps are announced to the cluster so runner nodes adopt
+// and help drain them. See internal/cluster for the coordination
 // primitives and the exactly-once journal.
 package engine

@@ -99,8 +99,8 @@ type Options struct {
 	// arbitrate each point through the cluster's arbiter (adopt a
 	// stored result, else claim the point's lease, else wait for the
 	// holder), so a fingerprint is computed once across every engine in
-	// the cluster; sweeps are announced to the cluster so runner/peer
-	// nodes help drain them. Requires Store. Takes any cluster.Backend,
+	// the cluster; sweeps are announced to the cluster so runner nodes
+	// help drain them. Requires Store. Takes any cluster.Backend,
 	// normally the node's *cluster.Member.
 	Cluster cluster.Backend
 	// Logger, when non-nil, receives structured job-lifecycle records

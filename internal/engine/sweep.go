@@ -329,7 +329,7 @@ func (e *Engine) submitSweep(spec *SweepSpec, priority int, trace string) (*Job,
 	e.mu.Unlock()
 
 	if c := e.opts.Cluster; c != nil {
-		// Publish the sweep so runner/peer nodes adopt it and help
+		// Publish the sweep so runner nodes adopt it and help
 		// drain the grid. Announcing is create-if-absent keyed by the
 		// sweep fingerprint, so an adopted copy re-announcing — or a
 		// resubmission racing a runner — is a no-op.

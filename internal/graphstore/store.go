@@ -3,10 +3,14 @@
 // fingerprint of (graph spec, graph seed), built exactly once per
 // fingerprint per process (singleflight), serialized once per
 // fingerprint per data directory (the binary format of
-// internal/graph/artifact.go, written with the store's atomic
-// temp+rename convention), and loaded back via mmap so the adjacency
+// internal/graph/artifact.go), and loaded back via mmap so the adjacency
 // pages are shared copy-on-write across every worker in the process and
 // every cobrad node sharing a data directory.
+//
+// The artifact files live in a store.Files tree, the same file layer as
+// the result store: its staged write, open scan, limits and GC. This
+// package adds the in-process registry, singleflight, mmap and artifact
+// verification, and unmaps the registry entries GC evicts.
 //
 // Resolution tiers, cheapest first:
 //
@@ -25,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -84,9 +87,6 @@ type Options struct {
 	// Empty selects a memory-only store: no artifacts are written or
 	// read, only the in-process registry dedups builds.
 	Dir string
-	// Limits is the disk GC policy, reusing the result store's type so
-	// cobrad configures both stores with one vocabulary.
-	Limits store.Limits
 	// DisableMmap forces the plain-read loading path. Artifacts load
 	// byte-identically either way; mmap is only the sharing/latency
 	// optimization.
@@ -114,30 +114,22 @@ type call struct {
 	err  error
 }
 
-// fileInfo is the GC accounting for one artifact file.
-type fileInfo struct {
-	size    int64
-	savedAt time.Time
-}
-
 // Store is the graph artifact store. All methods are safe for
 // concurrent use, including by multiple Store instances sharing a
 // directory (writes are atomic renames; loads verify checksums).
 type Store struct {
 	dir         string
+	files       *store.Files // nil for a memory-only store
 	disableMmap bool
 	build       func(spec string, seed uint64) (*graph.Graph, error)
 
 	mu       sync.Mutex
-	limits   store.Limits
 	mem      map[string]*entry
 	byGraph  map[*graph.Graph]*entry
 	inflight map[string]*call
-	files    map[string]fileInfo
-	skipped  int
 
-	builds, memHits, diskHits, evicted int64
-	mmapBytes                          int64
+	builds, memHits, diskHits int64
+	mmapBytes                 int64
 }
 
 // Stats is a snapshot of the store's counters and footprint, the source
@@ -153,64 +145,28 @@ type Stats struct {
 	DiskBytes  int64 `json:"disk_bytes"`
 }
 
-// Open creates (if needed) and scans a graph store. The scan is
-// corruption-tolerant: it only inventories plausibly named artifact
-// files for GC accounting — content is verified at load time, where a
-// bad file costs a rebuild, never a crash. Stale temp files from
-// crashed writers are removed.
+// Open creates (if needed) and scans a graph store. The scan only
+// stats plausibly named artifact files for GC accounting; content is
+// verified at load time, where a bad file costs a rebuild, never a
+// crash.
 func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:         opts.Dir,
 		disableMmap: opts.DisableMmap,
 		build:       opts.Build,
-		limits:      opts.Limits,
 		mem:         make(map[string]*entry),
 		byGraph:     make(map[*graph.Graph]*entry),
 		inflight:    make(map[string]*call),
-		files:       make(map[string]fileInfo),
 	}
 	if s.build == nil {
 		s.build = cli.ParseGraph
 	}
-	if s.dir == "" {
-		return s, nil
-	}
-	if err := os.MkdirAll(s.tmpDir(), 0o755); err != nil {
-		return nil, fmt.Errorf("graphstore: open %s: %w", s.dir, err)
-	}
-	// Clear the staging area: anything left is a crashed write that
-	// never reached its rename, so it holds no committed data.
-	if leftovers, err := os.ReadDir(s.tmpDir()); err == nil {
-		for _, f := range leftovers {
-			_ = os.Remove(filepath.Join(s.tmpDir(), f.Name()))
-		}
-	}
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("graphstore: scan %s: %w", s.dir, err)
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() || len(shard.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, shard.Name()))
+	if s.dir != "" {
+		files, err := store.OpenFiles(s.dir, filepath.Join(s.dir, "tmp"), ".g", nil)
 		if err != nil {
-			s.skipped++
-			continue
+			return nil, err
 		}
-		for _, f := range files {
-			fp, ok := fpFromFilename(f.Name())
-			if !ok || fp[:2] != shard.Name() {
-				s.skipped++
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				s.skipped++
-				continue
-			}
-			s.files[fp] = fileInfo{size: info.Size(), savedAt: info.ModTime()}
-		}
+		s.files = files
 	}
 	return s, nil
 }
@@ -218,24 +174,7 @@ func Open(opts Options) (*Store, error) {
 // Dir returns the artifact directory ("" for memory-only stores).
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) tmpDir() string { return filepath.Join(s.dir, "tmp") }
-
-func (s *Store) path(fp string) string {
-	return filepath.Join(s.dir, fp[:2], fp+".g")
-}
-
-// fpFromFilename recovers the fingerprint from an artifact filename.
-func fpFromFilename(name string) (string, bool) {
-	const suffix = ".g"
-	if len(name) != 64+len(suffix) || name[64:] != suffix {
-		return "", false
-	}
-	fp := name[:64]
-	if _, err := hex.DecodeString(fp); err != nil {
-		return "", false
-	}
-	return fp, true
-}
+func (s *Store) path(fp string) string { return s.files.Path(fp) }
 
 // Resolve returns the graph for (spec, seed), building it at most once
 // per fingerprint across all concurrent callers. The caller must pair
@@ -298,7 +237,7 @@ func (s *Store) populate(fp, spec string, seed uint64) (*graph.Graph, Tier, erro
 	if s.dir != "" {
 		// Best-effort: a failed artifact write (disk full, permissions)
 		// costs the next cold resolve a rebuild, nothing else.
-		_ = s.writeArtifact(fp, g)
+		_ = s.files.Write(fp, graph.EncodeBinary(g), time.Now())
 	}
 	s.install(fp, g, nil, TierBuild)
 	return g, TierBuild, nil
@@ -328,7 +267,7 @@ func (s *Store) loadDisk(fp string) (*graph.Graph, []byte, bool) {
 		if mapped != nil {
 			munmapFile(mapped)
 		}
-		s.dropFile(fp)
+		_ = s.files.Delete(fp) // best-effort: the rebuild rewrites it
 		return nil, nil, false
 	}
 	return g, mapped, true
@@ -340,48 +279,6 @@ func decodeVerified(data []byte) (*graph.Graph, error) {
 		return nil, err
 	}
 	return graph.DecodeBinary(data)
-}
-
-// dropFile removes a bad or evicted artifact file and its accounting.
-func (s *Store) dropFile(fp string) {
-	_ = os.Remove(s.path(fp))
-	s.mu.Lock()
-	delete(s.files, fp)
-	s.mu.Unlock()
-}
-
-// writeArtifact serializes g and commits it with the temp+rename
-// convention: concurrent writers of the same fingerprint each rename a
-// complete, byte-identical file into place, so readers never observe a
-// partial artifact.
-func (s *Store) writeArtifact(fp string, g *graph.Graph) error {
-	data := graph.EncodeBinary(g)
-	tmp, err := os.CreateTemp(s.tmpDir(), fp[:8]+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("graphstore: stage %s: %w", fp[:12], err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("graphstore: write %s: %w", fp[:12], err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("graphstore: close %s: %w", fp[:12], err)
-	}
-	if err := os.MkdirAll(filepath.Dir(s.path(fp)), 0o755); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("graphstore: shard %s: %w", fp[:12], err)
-	}
-	if err := os.Rename(tmpName, s.path(fp)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("graphstore: commit %s: %w", fp[:12], err)
-	}
-	s.mu.Lock()
-	s.files[fp] = fileInfo{size: int64(len(data)), savedAt: time.Now()}
-	s.mu.Unlock()
-	return nil
 }
 
 // install registers a freshly served graph with one reference (the
@@ -420,11 +317,7 @@ func (s *Store) Release(g *graph.Graph) {
 	e.refs--
 	var unmap []byte
 	if e.refs <= 0 && e.dropped {
-		delete(s.byGraph, g)
-		if e.mapped != nil {
-			unmap = e.mapped
-			s.mmapBytes -= int64(len(e.mapped))
-		}
+		unmap = s.forget(e)
 	}
 	s.mu.Unlock()
 	if unmap != nil {
@@ -432,93 +325,56 @@ func (s *Store) Release(g *graph.Graph) {
 	}
 }
 
-// SetLimits replaces the GC policy.
+// forget removes an unreferenced entry from the registry and returns its
+// mapping, if any, for the caller to unmap once s.mu is released.
+// Callers hold s.mu.
+func (s *Store) forget(e *entry) []byte {
+	delete(s.byGraph, e.g)
+	s.mmapBytes -= int64(len(e.mapped))
+	return e.mapped
+}
+
+// SetLimits replaces the GC policy; memory-only stores have no files
+// and ignore it.
 func (s *Store) SetLimits(l store.Limits) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limits = l
+	if s.files != nil {
+		s.files.SetLimits(l)
+	}
 }
 
-// Limits returns the installed GC policy.
-func (s *Store) Limits() store.Limits {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.limits
-}
-
-// GC applies the installed limits to the artifact files as of now,
-// mirroring the result store's policy: artifacts older than MaxAge are
-// evicted first, then — if the survivors still exceed MaxBytes — the
-// oldest survivors until the store fits (fingerprint as the
-// deterministic tie-break). Evicting a fingerprint also drops its
-// registry entry: unreferenced graphs are unmapped immediately;
-// referenced ones keep serving (an unlinked mapping stays valid) and
-// unmap when their references drain. Memory-only stores have no files
-// and GC is a no-op.
+// GC applies the installed limits to the artifact files as of now, with
+// the file layer's policy (store.Files.GC), and drops each evicted
+// fingerprint's registry entry: unreferenced graphs are unmapped
+// immediately; referenced ones keep serving (an unlinked mapping stays
+// valid) and unmap when their references drain. Memory-only stores have
+// no files and GC is a no-op.
 func (s *Store) GC(now time.Time) (removed int, freed int64) {
-	s.mu.Lock()
-	limits := s.limits
-	if s.dir == "" || (limits.MaxBytes <= 0 && limits.MaxAge <= 0) {
-		s.mu.Unlock()
+	if s.files == nil {
 		return 0, 0
 	}
-	type victim struct {
-		fp string
-		fileInfo
-	}
-	live := make([]victim, 0, len(s.files))
-	var victims []victim
-	var liveBytes int64
-	for fp, fi := range s.files {
-		if limits.MaxAge > 0 && now.Sub(fi.savedAt) > limits.MaxAge {
-			victims = append(victims, victim{fp, fi})
-			continue
-		}
-		live = append(live, victim{fp, fi})
-		liveBytes += fi.size
-	}
-	if limits.MaxBytes > 0 && liveBytes > limits.MaxBytes {
-		sort.Slice(live, func(a, b int) bool {
-			if !live[a].savedAt.Equal(live[b].savedAt) {
-				return live[a].savedAt.Before(live[b].savedAt)
-			}
-			return live[a].fp < live[b].fp
-		})
-		for _, v := range live {
-			if liveBytes <= limits.MaxBytes {
-				break
-			}
-			victims = append(victims, v)
-			liveBytes -= v.size
+	// A file GC could not remove stays accounted and is retried by the
+	// next sweep; the artifact cache has nothing else to do about it.
+	removed, freed, _ = s.files.GC(now, s.evict)
+	return removed, freed
+}
+
+// evict drops a GC'd fingerprint from the registry, unmapping it now if
+// unreferenced, else on its last Release.
+func (s *Store) evict(fp string) {
+	var unmap []byte
+	s.mu.Lock()
+	if e, ok := s.mem[fp]; ok {
+		delete(s.mem, fp)
+		if e.refs <= 0 {
+			unmap = s.forget(e)
+		} else {
+			e.dropped = true
 		}
 	}
 	s.mu.Unlock()
-
-	for _, v := range victims {
-		s.dropFile(v.fp)
-		var unmap []byte
-		s.mu.Lock()
-		s.evicted++
-		if e, ok := s.mem[v.fp]; ok {
-			delete(s.mem, v.fp)
-			if e.refs <= 0 {
-				delete(s.byGraph, e.g)
-				if e.mapped != nil {
-					unmap = e.mapped
-					s.mmapBytes -= int64(len(e.mapped))
-				}
-			} else {
-				e.dropped = true
-			}
-		}
-		s.mu.Unlock()
-		if unmap != nil {
-			munmapFile(unmap)
-		}
-		removed++
-		freed += v.size
+	if unmap != nil {
+		munmapFile(unmap)
 	}
-	return removed, freed
 }
 
 // VerifyArtifact reads the stored artifact for (spec, seed) — never
@@ -542,26 +398,27 @@ func (s *Store) VerifyArtifact(spec string, seed uint64) (string, error) {
 // Skipped returns how many files the opening scan ignored as
 // implausible artifact names.
 func (s *Store) Skipped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skipped
+	if s.files == nil {
+		return 0
+	}
+	return s.files.Skipped()
 }
 
 // Stats returns a snapshot of the counters and footprint.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
 		Builds:     s.builds,
 		MemHits:    s.memHits,
 		DiskHits:   s.diskHits,
-		Evicted:    s.evicted,
 		MmapBytes:  s.mmapBytes,
 		MemEntries: len(s.mem),
-		DiskFiles:  len(s.files),
 	}
-	for _, fi := range s.files {
-		st.DiskBytes += fi.size
+	s.mu.Unlock()
+	if s.files != nil {
+		st.Evicted = s.files.Evicted()
+		st.DiskFiles = s.files.Len()
+		st.DiskBytes = s.files.TotalBytes()
 	}
 	return st
 }

@@ -406,12 +406,20 @@ func TestOpenScanTolerance(t *testing.T) {
 	seed := open(t, Options{Dir: dir})
 	g, _ := mustResolveTier(t, seed, "cycle:40", 0)
 	seed.Release(g)
-	// Plant junk: a bad filename in a shard, a stray tmp file.
+	// Plant junk: a bad filename in a shard, a crashed write's tmp file.
 	fp := Fingerprint("cycle:40", 0)
 	if err := os.WriteFile(filepath.Join(dir, fp[:2], "junk.g"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "tmp", "crashed-write.tmp"), []byte("y"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crashed := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, "tmp", "crashed-write.tmp"), crashed, crashed); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh staging file may be another process's write in flight.
+	if err := os.WriteFile(filepath.Join(dir, "tmp", "in-flight.tmp"), []byte("z"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := open(t, Options{Dir: dir})
@@ -423,6 +431,9 @@ func TestOpenScanTolerance(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "tmp", "crashed-write.tmp")); !os.IsNotExist(err) {
 		t.Fatal("stale temp file not cleared")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tmp", "in-flight.tmp")); err != nil {
+		t.Fatalf("fresh staging file removed: %v", err)
 	}
 	g2, tier := mustResolveTier(t, s, "cycle:40", 0)
 	if tier != TierDisk {

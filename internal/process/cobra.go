@@ -20,7 +20,6 @@ func init() {
 			{Name: "cover_fraction", Type: "float", Default: 1.0, Min: limit(0), Max: limit(1), Doc: "coverage target in (0,1]; 1 = full cover"},
 			{Name: "max_steps", Type: "int", Default: 0, Min: limit(0), Doc: "per-trial round cap; 0 selects the core default"},
 			{Name: "start", Type: "int", Default: 0, Min: limit(0), Doc: "start vertex"},
-			{Name: "dense_theta", Type: "int", Default: 0, Doc: "frontier size at which the dense kernel takes over; 0 selects the core default, negative pins the byte-stable sparse kernel"},
 		},
 		results: uniformResults("per-trial rounds to reach the coverage target",
 			ResultField{Name: "messages_mean", Kind: "summary", Doc: "mean neighbor samples drawn per trial"}),
@@ -36,7 +35,6 @@ func init() {
 			{Name: "period", Type: "int", Default: 2, Min: limit(1), Doc: "rounds between k-way bursts (periodic)"},
 			{Name: "max_steps", Type: "int", Default: 0, Min: limit(0), Doc: "per-trial round cap; 0 selects the core default"},
 			{Name: "start", Type: "int", Default: 0, Min: limit(0), Doc: "start vertex"},
-			{Name: "dense_theta", Type: "int", Default: 0, Doc: "frontier size at which the dense kernel takes over; 0 selects the core default, negative pins the sparse kernel"},
 		},
 		results: uniformResults("per-trial rounds to cover the graph"),
 	}})
@@ -71,9 +69,8 @@ func (c cobraProcess) Run(ctx context.Context, r Run) (*Result, error) {
 	values, err := sim.RunTrialsPooledContext(ctx, r.Trials, r.Seed,
 		func() sim.TrialFunc {
 			w := core.New(r.Graph, core.Config{
-				K:          k,
-				MaxSteps:   r.Params.Int("max_steps", 0),
-				DenseTheta: r.Params.Int("dense_theta", 0),
+				K:        k,
+				MaxSteps: r.Params.Int("max_steps", 0),
 			}, rng.New(0))
 			var frontier []int32 // traced-trial scratch
 			return func(trial int, src *rng.Source) (float64, error) {
@@ -168,7 +165,6 @@ func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
 				// one walk bound to it on first use serves every trial.
 				if w == nil {
 					w = core.NewGeneral(r.Graph, branch, maxSteps, src)
-					w.SetDenseTheta(r.Params.Int("dense_theta", 0))
 				}
 				w.Reset(start)
 				var steps int

@@ -19,7 +19,6 @@ func init() {
 			{Name: "lazy", Type: "bool", Default: true, Doc: "paper's lazy variant: each round is skipped with probability 1/2"},
 			{Name: "max_steps", Type: "int", Default: 0, Min: limit(0), Doc: "per-trial round cap; 0 selects a generous default"},
 			{Name: "start", Type: "int", Default: 0, Min: limit(0), Doc: "vertex holding all pebbles initially"},
-			{Name: "dense_theta", Type: "int", Default: 0, Doc: "occupied-vertex count at which the count-based dense kernel takes over; 0 selects the core default, negative pins the byte-stable sparse kernel"},
 		},
 		results: uniformResults("per-trial rounds for the pebble population to cover the graph"),
 	}})
@@ -36,9 +35,8 @@ func (w waltProcess) Run(ctx context.Context, r Run) (*Result, error) {
 		return nil, err
 	}
 	cfg := walt.Config{
-		Lazy:       r.Params.Bool("lazy", true),
-		MaxSteps:   r.Params.Int("max_steps", 0),
-		DenseTheta: r.Params.Int("dense_theta", 0),
+		Lazy:     r.Params.Bool("lazy", true),
+		MaxSteps: r.Params.Int("max_steps", 0),
 	}
 	pebbles := r.Params.Int("pebbles", 1)
 	depths := depthMap(r, start)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // key returns a deterministic well-formed store key for test index i.
@@ -137,20 +138,33 @@ func TestCorruptRecordsAreSkippedNotFatal(t *testing.T) {
 	}
 }
 
+// TestOpenClearsStaleTempFiles: Open removes a crashed write's staging
+// file (older than an hour) but leaves a fresh one alone, since it may
+// be another process's write in flight on the same directory.
 func TestOpenClearsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Open(dir); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	stale := filepath.Join(dir, "tmp", "deadbeef-123.tmp")
-	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
-		t.Fatalf("write stale temp: %v", err)
+	fresh := filepath.Join(dir, "tmp", "cafef00d-456.tmp")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatalf("write temp: %v", err)
+		}
+	}
+	crashed := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, crashed, crashed); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Open(dir); err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Errorf("stale temp file survived reopen: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh staging file removed by reopen: %v", err)
 	}
 }
 
@@ -247,5 +261,36 @@ func TestDelete(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Errorf("len = %d, want 0", s.Len())
+	}
+}
+
+// TestPutGetEdgeInputs covers inputs the cluster's result routes can
+// carry from the network: the shortest valid key and a payload that is
+// valid JSON but not compact round-trip byte for byte, and keys that are
+// not lower-case hex are refused by Put and missed by Get.
+func TestPutGetEdgeInputs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	payload := `{"a": [1, 2], "s": "<&>"}`
+	for _, k := range []string{"abc", key(1)} {
+		if err := s.Put(k, []byte(payload)); err != nil {
+			t.Fatalf("put %q: %v", k, err)
+		}
+		if got, ok, err := s.Get(k); !ok || err != nil || string(got) != payload {
+			t.Errorf("get %q = %s ok=%v err=%v, want %s", k, got, ok, err, payload)
+		}
+	}
+	for _, k := range []string{"ab", "ab/../../evil", "ABCDEF", "0123zz"} {
+		if err := s.Put(k, []byte(`{}`)); err == nil {
+			t.Errorf("put accepted key %q", k)
+		}
+		if _, ok, err := s.Get(k); ok || err != nil {
+			t.Errorf("get %q: ok=%v err=%v, want a miss", k, ok, err)
+		}
+	}
+	if err := s.Put(key(2), []byte(`{"unterminated":`)); err == nil {
+		t.Error("put accepted a payload that is not JSON")
 	}
 }

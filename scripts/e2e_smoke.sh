@@ -5,7 +5,8 @@
 #   1. start a two-node cluster — a coordinator hosting the arbiter on
 #      its data dir and a -cluster-url runner — check /v1/nodes
 #      discovery, and check that a second coordinator on the same data
-#      dir refuses to start;
+#      dir refuses to start without deleting the owner's in-flight
+#      staging files;
 #   2. submit one 12-point sweep to the coordinator and let both nodes
 #      drain it through leased claims;
 #   3. SIGKILL the runner mid-sweep: the coordinator reclaims its
@@ -131,12 +132,19 @@ start_daemon a "${PORT_A}" coordinator; PID_A="${DAEMON_PID}"
 start_http_runner b "${PORT_B}" "${BASE_A}"; PID_B="${DAEMON_PID}"
 
 echo "e2e: a second coordinator on the same data dir must refuse to start"
+# A fresh staging file stands in for the live coordinator's write in
+# flight: the refused process opens the store before the arbiter's
+# owner lock turns it away, and must not delete it.
+IN_FLIGHT="${DATA}/tmp/e2e-in-flight.tmp"
+echo partial >"${IN_FLIGHT}"
 if timeout 20 "${COBRAD}" -addr "127.0.0.1:${PORT_G}" -data-dir "${DATA}" -cluster coordinator \
      -node-id intruder >"${WORK}/cobrad.intruder.log" 2>&1; then
   fail "second coordinator on ${DATA} started; one data dir must have one arbiter"
 fi
 grep -q "already has an arbiter" "${WORK}/cobrad.intruder.log" \
   || fail "second coordinator failed for the wrong reason: $(cat "${WORK}/cobrad.intruder.log")"
+[ -f "${IN_FLIGHT}" ] || fail "the refused coordinator deleted the live owner's in-flight staging file"
+rm -f "${IN_FLIGHT}"
 
 echo "e2e: discovery — processes and nodes"
 PROCS="$(ctl_a processes -json | jq '.processes | length')"
