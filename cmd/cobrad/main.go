@@ -40,8 +40,10 @@
 // resolve through a content-addressed artifact store under
 // <data-dir>/graphs: built once per (spec, seed) fingerprint, then
 // mmapped by every process sharing the directory; -graph-cache-bytes
-// bounds its disk footprint. Both stores sit on one file layer
-// (store.Files), and one GC loop sweeps both every -store-gc-interval.
+// bounds its disk footprint. In memory, graphs no job holds are kept
+// within a fixed 64 MiB budget (not a flag), least recently released
+// evicted first. Both stores sit on one file layer (store.Files), and
+// one GC loop sweeps both every -store-gc-interval.
 //
 // Several cobrad instances form a cluster around one arbiter. The
 // coordinator (-cluster coordinator with -data-dir) hosts it: point
@@ -103,7 +105,7 @@ func main() {
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "persistent store size cap in bytes; oldest records evicted beyond it (0 disables)")
 		storeMaxAge   = flag.Duration("store-max-age", 0, "persistent store record retention; older records evicted (0 disables)")
 		storeGCEvery  = flag.Duration("store-gc-interval", time.Minute, "how often the store GC sweep runs")
-		graphCacheMax = flag.Int64("graph-cache-bytes", 0, "graph artifact store size cap in bytes; oldest artifacts evicted beyond it (0 disables)")
+		graphCacheMax = flag.Int64("graph-cache-bytes", 0, "graph artifact store size cap in bytes on disk; oldest artifacts evicted beyond it (0 disables). Idle graphs in memory have a fixed 64 MiB budget")
 		clusterMode   = flag.String("cluster", "off", "cluster role: off|coordinator|runner (a coordinator hosts the arbiter on -data-dir; a runner joins it with -cluster-url)")
 		clusterURL    = flag.String("cluster-url", "", "coordinator base URL to join over HTTP (runner role)")
 		nodeID        = flag.String("node-id", "", "cluster node identity (default <hostname>-<pid>)")

@@ -134,8 +134,8 @@ func DenseCutoff(n, theta int) int {
 type k2Shape struct {
 	kind k2Kind
 	hpv  int
-	adj  []int32
-	adjN []uint16 // narrow adjacency for the fused regular kernels; nil when ids exceed 16 bits
+	adj  []int32  // the CSR adjacency (fallback), or the padded one when adjN is nil
+	adjN []uint16 // narrow padded adjacency for the regular shapes; nil when ids exceed 16 bits
 	offs []int32
 	deg  int32
 }
@@ -155,10 +155,14 @@ const (
 // (see ensureDraws) rather than the filled prefix so the samplers'
 // masked indexing compiles without bounds checks.
 func (s *k2Shape) sample(chunk []int32, draws []uint64, mark []byte) {
-	switch s.kind {
-	case k2Pow2:
+	switch {
+	case s.kind == k2Pow2 && s.adjN != nil:
+		samplePow2K2(s.adjN, s.deg, mark, chunk, draws)
+	case s.kind == k2Pow2:
 		samplePow2K2(s.adj, s.deg, mark, chunk, draws)
-	case k2Regular:
+	case s.kind == k2Regular && s.adjN != nil:
+		sampleRegularK2(s.adjN, s.deg, mark, chunk, draws)
+	case s.kind == k2Regular:
 		sampleRegularK2(s.adj, s.deg, mark, chunk, draws)
 	default:
 		sampleFallbackK2(s.adj, s.offs, mark, chunk, draws)
@@ -240,10 +244,12 @@ func sampleFrontierBits(g *graph.Graph, frontier *bitset.Set, k int, mark []byte
 
 // denseKernelK2 selects the K=2 sampling scheme for g's shape.
 // Degrees of 2^16 or more exceed PairIndex resolution and fall through
-// to the offset/multiply sampler (any degree). mark is validated here,
-// once per round: the samplers' masked stores require its length to be
-// a power of two (see allocMark), or masking would silently alias
-// distinct vertices.
+// to the offset/multiply sampler (any degree). The regular shapes
+// gather from one padded table per graph: the uint16 one when every
+// vertex id fits in 16 bits, else the int32 one, so a graph never holds
+// both. mark is validated here, once per round: the samplers' masked
+// stores require its length to be a power of two (see allocMark), or
+// masking would silently alias distinct vertices.
 func denseKernelK2(g *graph.Graph, mark []byte, frontierLen int) k2Shape {
 	if len(mark) == 0 || len(mark)&(len(mark)-1) != 0 || len(mark) < g.N() {
 		panic("core: dense kernel mark length must be a power of two >= N")
@@ -255,14 +261,19 @@ func denseKernelK2(g *graph.Graph, mark []byte, frontierLen int) k2Shape {
 		// silently reading past the (empty) adjacency array.
 		panic("core: dense kernel on a graph with no edges")
 	}
+	var s k2Shape
 	switch {
 	case regular && g.DegreeIsPow2() && deg <= 1<<16:
-		return k2Shape{kind: k2Pow2, hpv: 1, adj: g.AdjPow2(), adjN: g.AdjPow2Narrow(), deg: deg}
+		s = k2Shape{kind: k2Pow2, hpv: 1, deg: deg}
 	case regular && deg < 1<<16:
-		return k2Shape{kind: k2Regular, hpv: 1, adj: g.AdjPow2(), adjN: g.AdjPow2Narrow(), deg: deg}
+		s = k2Shape{kind: k2Regular, hpv: 1, deg: deg}
 	default:
 		return k2Shape{kind: k2Fallback, hpv: 2, adj: adj, offs: g.Offsets()}
 	}
+	if s.adjN = g.AdjPow2Narrow(); s.adjN == nil {
+		s.adj = g.AdjPow2()
+	}
+	return s
 }
 
 // fusedPow2K2 and fusedRegularK2 are the bitset-driver fast paths for
@@ -349,9 +360,10 @@ func fusedRegularK2[A int32 | uint16](adj []A, deg int32, mark []byte, words []u
 // fields of one 32-bit half-draw (exactly uniform). The body is unrolled
 // four vertices (two words, eight samples) per iteration, and all
 // adjacency and mark accesses are masked against power-of-two lengths
-// (adj is Graph.AdjPow2, mark comes from AllocMark) so the hot loop
-// carries no bounds checks.
-func samplePow2K2(adj []int32, deg int32, mark []byte, chunk []int32, draws []uint64) {
+// (adj is Graph.AdjPow2 or Graph.AdjPow2Narrow, mark comes from
+// AllocMark) so the hot loop carries no bounds checks. Like the fused
+// kernels it is generic over the adjacency element width.
+func samplePow2K2[A int32 | uint16](adj []A, deg int32, mark []byte, chunk []int32, draws []uint64) {
 	mask := uint32(deg - 1)
 	mm, am, dm := len(mark)-1, len(adj)-1, len(draws)-1
 	if mm < 0 || am < 0 || dm < 0 {
@@ -393,9 +405,9 @@ func samplePow2K2(adj []int32, deg int32, mark []byte, chunk []int32, draws []ui
 // degree below 2^16: fixed-point multiply-reuse sampling (the inlined
 // form of rng.Block.PairIndex) with base offsets v·d, one 32-bit half
 // per vertex, unrolled four vertices per iteration. As in samplePow2K2,
-// adjacency (Graph.AdjPow2) and mark accesses are masked against
+// adjacency (either padded table) and mark accesses are masked against
 // power-of-two lengths, so the hot loop carries no bounds checks.
-func sampleRegularK2(adj []int32, deg int32, mark []byte, chunk []int32, draws []uint64) {
+func sampleRegularK2[A int32 | uint16](adj []A, deg int32, mark []byte, chunk []int32, draws []uint64) {
 	d := uint64(deg)
 	mm, am, dm := len(mark)-1, len(adj)-1, len(draws)-1
 	if mm < 0 || am < 0 || dm < 0 {

@@ -380,3 +380,63 @@ func TestSetRandReproducesFreshWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkSamplersWidthAgnostic checks that the regular chunk samplers
+// mark the same vertices whichever padded table they gather from: the
+// uint16 table is the int32 one narrowed, and the draw consumption does
+// not depend on the element width.
+func TestChunkSamplersWidthAgnostic(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.MustRandomRegular(1000, 4, 5), graph.MustRandomRegular(1000, 5, 5)} {
+		chunk := make([]int32, 0, g.N())
+		for v := int32(0); v < int32(g.N()); v += 3 {
+			chunk = append(chunk, v)
+		}
+		var draws []uint64
+		d := ensureDraws(&draws, (len(chunk)+1)/2)
+		rng.NewBlock(rng.New(11)).Fill(d[:(len(chunk)+1)/2])
+		wide, narrow := AllocMark(g.N()), AllocMark(g.N())
+		_, deg := g.IsRegular()
+		if g.DegreeIsPow2() {
+			samplePow2K2(g.AdjPow2(), deg, wide, chunk, d)
+			samplePow2K2(g.AdjPow2Narrow(), deg, narrow, chunk, d)
+		} else {
+			sampleRegularK2(g.AdjPow2(), deg, wide, chunk, d)
+			sampleRegularK2(g.AdjPow2Narrow(), deg, narrow, chunk, d)
+		}
+		if string(wide) != string(narrow) {
+			t.Errorf("%s: the uint16 table marks different vertices than the int32 table", g)
+		}
+	}
+}
+
+// TestDenseKernelBuildsOnePaddedTable pins the dense kernels' memory:
+// a graph whose vertex ids fit in 16 bits gets only the uint16 padded
+// table, and a wider one only the int32 table.
+func TestDenseKernelBuildsOnePaddedTable(t *testing.T) {
+	for _, tc := range []struct {
+		n, d   int
+		narrow bool
+	}{
+		{4096, 4, true},
+		{4096, 5, true},
+		{1<<16 + 4, 4, false},
+	} {
+		g := graph.MustRandomRegular(tc.n, tc.d, 1)
+		csr := g.Bytes()
+		w := New(g, denseCfg(2, g.N()), rng.New(1))
+		w.Reset(0)
+		for i := 0; i < 8; i++ { // list-driven first round, then bitset-driven rounds
+			w.Step()
+		}
+		got := g.Bytes() - csr
+		var padded int64 // read after got: AdjPow2 builds the table it sizes
+		if tc.narrow {
+			padded = 2 * int64(len(g.AdjPow2Narrow()))
+		} else {
+			padded = 4 * int64(len(g.AdjPow2()))
+		}
+		if got != padded {
+			t.Errorf("n=%d d=%d: dense rounds built %d padded bytes, want one table of %d", tc.n, tc.d, got, padded)
+		}
+	}
+}

@@ -40,9 +40,10 @@ type Graph struct {
 
 	// adjPad16 is adjPad narrowed to uint16, available only when every
 	// vertex id fits (N() <= 65536). Halving the element width halves
-	// the kernels' hottest cache footprint — the adjacency gather —
-	// which is worth a second copy of the graph on the sizes where it
-	// applies. Empty (not nil) marks "built, too wide".
+	// the kernels' hottest cache footprint — the adjacency gather — so
+	// the dense kernels use it in place of adjPad on the sizes where it
+	// applies, and build adjPad only above them. Empty (not nil) marks
+	// "built, too wide".
 	adjPad16Once sync.Once
 	adjPad16     []uint16
 }
@@ -87,6 +88,15 @@ func (g *Graph) AdjPow2Narrow() []uint16 {
 		return nil
 	}
 	return g.adjPad16
+}
+
+// Bytes returns the memory g's arrays hold: the CSR offsets and
+// adjacency plus whichever padded tables (AdjPow2, AdjPow2Narrow) have
+// been built. For a graph decoded from a mapped artifact, the arrays
+// read from the file alias the mapping rather than the heap. Call it
+// only while no goroutine is building a padded table.
+func (g *Graph) Bytes() int64 {
+	return 4*int64(len(g.offsets)+len(g.adj)+len(g.adjPad)) + 2*int64(len(g.adjPad16))
 }
 
 // finalize computes the cached degree metadata. Builders call it once at

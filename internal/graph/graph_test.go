@@ -567,3 +567,21 @@ func TestValidateCatchesAsymmetry(t *testing.T) {
 		t.Fatal("asymmetric graph passed validation")
 	}
 }
+
+// TestBytesCountsBuiltTables pins Graph.Bytes: the CSR arrays, plus
+// each padded adjacency table once it has been built.
+func TestBytesCountsBuiltTables(t *testing.T) {
+	g := Cycle(100) // 200 adjacency entries, padded to 256
+	csr := int64(4 * (101 + 200))
+	if got := g.Bytes(); got != csr {
+		t.Fatalf("fresh graph: Bytes = %d, want the CSR's %d", got, csr)
+	}
+	g.AdjPow2Narrow()
+	if got := g.Bytes(); got != csr+2*256 {
+		t.Fatalf("with the uint16 table: Bytes = %d, want %d", got, csr+2*256)
+	}
+	g.AdjPow2()
+	if got := g.Bytes(); got != csr+2*256+4*256 {
+		t.Fatalf("with both tables: Bytes = %d, want %d", got, csr+2*256+4*256)
+	}
+}

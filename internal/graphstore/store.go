@@ -18,6 +18,12 @@
 //	disk  — a verified artifact file was mapped (or read) back
 //	build — the generator ran; the artifact is written for next time
 //
+// The registry holds every graph a job references, and keeps graphs no
+// job references (idle graphs) up to a fixed byte budget of 64 MiB,
+// evicting the least recently released beyond it. An evicted graph
+// comes back through the disk or build tier, byte-identical, so the
+// budget trades a reload for memory that tracks live work.
+//
 // Corruption never propagates: a truncated, mangled, or
 // checksum-mismatched artifact is deleted and the graph rebuilt.
 package graphstore
@@ -96,6 +102,12 @@ type Options struct {
 	Build func(spec string, seed uint64) (*graph.Graph, error)
 }
 
+// idleBudget is the byte budget for idle graphs, those no Resolve
+// holds a reference to. It is fixed: the graphs a sweep reuses fit in
+// it many times over, and past it a reload from disk costs less than
+// the memory a long-running daemon would otherwise keep.
+const idleBudget = 64 << 20
+
 // entry is one live graph in the in-process registry.
 type entry struct {
 	fp     string
@@ -105,6 +117,11 @@ type entry struct {
 	// dropped marks an entry GC removed from the registry while still
 	// referenced; the final Release unmaps it.
 	dropped bool
+	// prev and next link the entry into Store.idle while no reference
+	// is held (both nil otherwise), and size is its bytes as counted in
+	// Store.idleBytes.
+	prev, next *entry
+	size       int64
 }
 
 // call is one in-flight build/load, awaited by concurrent resolvers of
@@ -128,18 +145,33 @@ type Store struct {
 	byGraph  map[*graph.Graph]*entry
 	inflight map[string]*call
 
+	// idle is the sentinel of a ring of the unreferenced entries of mem:
+	// idle.next is the most recently released, idle.prev the oldest.
+	// The ring is intrusive, so a release allocates nothing. idleBytes
+	// is their total size, kept within idleBudget (the package
+	// constant, which tests shrink).
+	idle       entry
+	idleBytes  int64
+	idleBudget int64
+
 	builds, memHits, diskHits int64
+	memEvicted                int64
 	mmapBytes                 int64
 }
 
 // Stats is a snapshot of the store's counters and footprint, the source
 // of the graphstore_* metrics.
 type Stats struct {
-	Builds     int64 `json:"builds"`
-	MemHits    int64 `json:"mem_hits"`
-	DiskHits   int64 `json:"disk_hits"`
+	Builds   int64 `json:"builds"`
+	MemHits  int64 `json:"mem_hits"`
+	DiskHits int64 `json:"disk_hits"`
+	// Evicted counts artifact files GC removed; MemEvicted counts idle
+	// graphs the registry dropped to stay within its byte budget.
 	Evicted    int64 `json:"evicted"`
+	MemEvicted int64 `json:"mem_evicted"`
 	MmapBytes  int64 `json:"mmap_bytes"`
+	// IdleBytes is the size of the resident graphs no job holds.
+	IdleBytes  int64 `json:"idle_bytes"`
 	MemEntries int   `json:"mem_entries"`
 	DiskFiles  int   `json:"disk_files"`
 	DiskBytes  int64 `json:"disk_bytes"`
@@ -157,7 +189,9 @@ func Open(opts Options) (*Store, error) {
 		mem:         make(map[string]*entry),
 		byGraph:     make(map[*graph.Graph]*entry),
 		inflight:    make(map[string]*call),
+		idleBudget:  idleBudget,
 	}
+	s.idle.prev, s.idle.next = &s.idle, &s.idle
 	if s.build == nil {
 		s.build = cli.ParseGraph
 	}
@@ -190,6 +224,7 @@ func (s *Store) ResolveTier(spec string, seed uint64) (*graph.Graph, Tier, error
 	for {
 		s.mu.Lock()
 		if e, ok := s.mem[fp]; ok {
+			s.unidle(e)
 			e.refs++
 			s.memHits++
 			s.mu.Unlock()
@@ -300,29 +335,75 @@ func (s *Store) install(fp string, g *graph.Graph, mapped []byte, tier Tier) {
 	s.mu.Unlock()
 }
 
-// Release returns one reference taken by Resolve. Graphs stay resident
-// after their last reference (the warm tier); GC reclaims evicted
-// entries once their references drain. Releasing a graph the store does
-// not track is a no-op, so callers can release unconditionally.
+// Release returns one reference taken by Resolve. A graph whose last
+// reference drains stays resident as an idle graph (the mem tier) while
+// the idle graphs fit in the store's byte budget; beyond it the least
+// recently released idle graphs are evicted, never the one just
+// released, so back-to-back jobs on one graph larger than the budget do
+// not reload it. GC reclaims evicted files' entries once their
+// references drain. Releasing a graph the store does not track, or one
+// with no reference outstanding, is a no-op, so callers can release
+// unconditionally.
 func (s *Store) Release(g *graph.Graph) {
 	if g == nil {
 		return
 	}
 	s.mu.Lock()
 	e, ok := s.byGraph[g]
-	if !ok {
+	if !ok || e.refs <= 0 {
 		s.mu.Unlock()
 		return
 	}
 	e.refs--
-	var unmap []byte
-	if e.refs <= 0 && e.dropped {
-		unmap = s.forget(e)
+	var unmap [][]byte
+	switch {
+	case e.refs > 0:
+	case e.dropped:
+		unmap = [][]byte{s.forget(e)}
+	default:
+		unmap = s.park(e)
 	}
 	s.mu.Unlock()
-	if unmap != nil {
-		munmapFile(unmap)
+	for _, m := range unmap {
+		if m != nil {
+			munmapFile(m)
+		}
 	}
+}
+
+// park puts a just-released entry at the recent end of the idle ring,
+// sized by its graph's arrays (or its mapping, if larger), then evicts
+// from the old end while the idle bytes exceed the budget, stopping at
+// e itself. Each entry joins the ring once per release and leaves it
+// once, so eviction is O(1) amortized. It returns the evicted entries'
+// mappings (nil for unmapped ones) for the caller to unmap once s.mu is
+// released. Callers hold s.mu.
+func (s *Store) park(e *entry) (unmap [][]byte) {
+	e.size = max(e.g.Bytes(), int64(len(e.mapped)))
+	e.prev, e.next = &s.idle, s.idle.next
+	e.prev.next, e.next.prev = e, e
+	s.idleBytes += e.size
+	for s.idleBytes > s.idleBudget {
+		old := s.idle.prev
+		if old == e {
+			break
+		}
+		s.unidle(old)
+		delete(s.mem, old.fp)
+		unmap = append(unmap, s.forget(old))
+		s.memEvicted++
+	}
+	return unmap
+}
+
+// unidle takes e off the idle ring, if it is there. Callers hold s.mu.
+func (s *Store) unidle(e *entry) {
+	if e.next == nil {
+		return
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	s.idleBytes -= e.size
 }
 
 // forget removes an unreferenced entry from the registry and returns its
@@ -359,13 +440,14 @@ func (s *Store) GC(now time.Time) (removed int, freed int64) {
 }
 
 // evict drops a GC'd fingerprint from the registry, unmapping it now if
-// unreferenced, else on its last Release.
+// idle, else on its last Release (a dropped entry never goes idle).
 func (s *Store) evict(fp string) {
 	var unmap []byte
 	s.mu.Lock()
 	if e, ok := s.mem[fp]; ok {
 		delete(s.mem, fp)
 		if e.refs <= 0 {
+			s.unidle(e)
 			unmap = s.forget(e)
 		} else {
 			e.dropped = true
@@ -411,7 +493,9 @@ func (s *Store) Stats() Stats {
 		Builds:     s.builds,
 		MemHits:    s.memHits,
 		DiskHits:   s.diskHits,
+		MemEvicted: s.memEvicted,
 		MmapBytes:  s.mmapBytes,
+		IdleBytes:  s.idleBytes,
 		MemEntries: len(s.mem),
 	}
 	s.mu.Unlock()

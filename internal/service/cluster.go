@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/store"
 )
 
 // The /v1/cluster/* routes are the coordinator's arbiter on the wire:
@@ -164,16 +165,17 @@ func (s *Server) clusterReleaseLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"released": true})
 }
 
-// writeClusterError maps an arbiter error onto the envelope: a fencing
-// rejection is 409 lease_lost, a malformed request 400, and anything
-// else — the arbiter failed to persist, or is shutting down — a
+// writeClusterError maps an arbiter or result-store error onto the
+// envelope: a fencing rejection is 409 lease_lost, a malformed request
+// (or a key or payload the store refuses) 400, and anything else — the
+// arbiter or store failed to persist, or is shutting down — a
 // retryable 500.
 func writeClusterError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, cluster.ErrFenced):
 		writeError(w, http.StatusConflict, codeLeaseLost, err,
 			"the lease expired and was reclaimed; re-claim instead of renewing")
-	case errors.Is(err, cluster.ErrInvalid):
+	case errors.Is(err, cluster.ErrInvalid), errors.Is(err, store.ErrInvalid):
 		writeError(w, http.StatusBadRequest, codeBadRequest, err, "")
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, err, "")
@@ -222,7 +224,7 @@ func (s *Server) clusterPutResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cs.PutResult(r.PathValue("key"), payload); err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err, "")
+		writeClusterError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"stored": true})

@@ -315,6 +315,9 @@ func TestMetricsExposition(t *testing.T) {
 		"cobrad_hub_frames_dropped_total",
 		"cobrad_http_request_duration_seconds_bucket",
 		"cobrad_http_request_duration_seconds_count",
+		"graphstore_builds_total", "graphstore_hits_total",
+		"graphstore_mmap_bytes", "graphstore_idle_bytes",
+		"graphstore_mem_evictions_total",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("metrics missing %s", name)

@@ -600,6 +600,12 @@ func (s *Server) registerMetrics() {
 	s.reg.NewGaugeFunc("graphstore_mmap_bytes", "Bytes of graph artifacts currently memory-mapped.", func() float64 {
 		return float64(s.eng.Graphs().Stats().MmapBytes)
 	})
+	s.reg.NewGaugeFunc("graphstore_idle_bytes", "Bytes of resident graphs no job holds, kept within the registry's idle budget.", func() float64 {
+		return float64(s.eng.Graphs().Stats().IdleBytes)
+	})
+	s.reg.NewCounterFunc("graphstore_mem_evictions_total", "Idle graphs evicted from memory to stay within the idle budget.", func() float64 {
+		return float64(s.eng.Graphs().Stats().MemEvicted)
+	})
 	s.httpDur = s.reg.NewHistogram("cobrad_http_request_duration_seconds", "HTTP request latency.", metrics.DurationBuckets)
 }
 

@@ -157,7 +157,7 @@ func (f *Files) Path(key string) string {
 // last-rename-wins is harmless. savedAt is the time GC ages the file by.
 func (f *Files) Write(key string, data []byte, savedAt time.Time) error {
 	if !validKey(key) {
-		return fmt.Errorf("store: invalid key %q", key)
+		return fmt.Errorf("%w: key %q", ErrInvalid, key)
 	}
 	tmp, err := os.CreateTemp(f.tmp, key[:min(len(key), 8)]+"-*.tmp")
 	if err != nil {

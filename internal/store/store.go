@@ -23,6 +23,11 @@ type record struct {
 
 const recordVersion = 1
 
+// ErrInvalid marks input the store refuses for its content: a key that
+// is not three or more lower-case hex digits, or a payload that is not
+// JSON. Retrying such a request cannot succeed.
+var ErrInvalid = errors.New("store: invalid input")
+
 // Lease is one advisory claim over a key, as the cluster arbiter
 // (internal/cluster) grants it: held by exactly one holder until it
 // expires or is released, after which another holder may take it.
@@ -87,7 +92,7 @@ func (s *Store) Dir() string { return s.root }
 func encodeRecord(key string, payload []byte, savedAt time.Time) ([]byte, error) {
 	payload = bytes.TrimSpace(payload)
 	if !json.Valid(payload) {
-		return nil, fmt.Errorf("store: record %s: payload is not valid JSON", key)
+		return nil, fmt.Errorf("%w: record %s: payload is not valid JSON", ErrInvalid, key)
 	}
 	head, err := json.Marshal(record{Version: recordVersion, Key: key, SHA256: payloadSum(payload), SavedAt: savedAt})
 	if err != nil {

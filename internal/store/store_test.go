@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -283,14 +284,14 @@ func TestPutGetEdgeInputs(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"ab", "ab/../../evil", "ABCDEF", "0123zz"} {
-		if err := s.Put(k, []byte(`{}`)); err == nil {
-			t.Errorf("put accepted key %q", k)
+		if err := s.Put(k, []byte(`{}`)); !errors.Is(err, ErrInvalid) {
+			t.Errorf("put of key %q: %v, want ErrInvalid", k, err)
 		}
 		if _, ok, err := s.Get(k); ok || err != nil {
 			t.Errorf("get %q: ok=%v err=%v, want a miss", k, ok, err)
 		}
 	}
-	if err := s.Put(key(2), []byte(`{"unterminated":`)); err == nil {
-		t.Error("put accepted a payload that is not JSON")
+	if err := s.Put(key(2), []byte(`{"unterminated":`)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("put of a payload that is not JSON: %v, want ErrInvalid", err)
 	}
 }
