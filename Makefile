@@ -33,10 +33,11 @@ bench-smoke:
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(MICROBENCH)' -count 5 . > BENCH_$$(date -u +%Y-%m-%d).txt
 
-# Regression gate: hold the gated medians (CobraStepExpander,
-# GraphResolveWarm, GraphBuildRegular) to within 15% of the newest
-# committed BENCH_<date>.txt. CI runs this; BENCHTIME=2s tightens the
-# measurement locally.
+# Regression gate: build the microbenchmarks at the base commit (the
+# merge-base with origin/main, or HEAD^1) and at the checkout, run them
+# interleaved, and hold the gated medians (CobraStepExpander,
+# GraphResolveWarm, GraphBuildRegular) to within 15% of the base's. CI
+# runs this; BENCHTIME=2s tightens the measurement locally.
 bench-gate:
 	./scripts/bench_gate.sh
 

@@ -282,8 +282,8 @@ func BenchmarkGraphResolveCold(b *testing.B) {
 
 // BenchmarkGraphResolveWarm measures the steady-state hit path of the
 // graph artifact store: the graph is resident, so a resolve is a
-// fingerprint hash plus a refcount. The cold/warm ratio is the store's
-// reason to exist.
+// registry lookup on (spec, seed) plus a refcount, with no hash and no
+// allocation. The cold/warm ratio is the store's reason to exist.
 func BenchmarkGraphResolveWarm(b *testing.B) {
 	gs, err := graphstore.Open(graphstore.Options{Dir: b.TempDir()})
 	if err != nil {

@@ -8,14 +8,19 @@
 // because the active set is a set. The cover time is the expected number
 // of rounds until every vertex has been active at least once.
 //
-// The engine keeps the frontier both as a vertex list (for iteration) and
-// a bitset (for deduplication), performs no allocation per round, and is
-// deterministic given a seed, which makes trials reproducible and
-// embarrassingly parallel.
+// Walk is the package's one engine for that process. It also steps the
+// generalized walk whose branching factor varies by vertex, round or
+// chance (NewGeneral), and package epidemic runs its Beta = Gamma = 1 SIS
+// idealization on it. The engine keeps the frontier both as a vertex
+// list (for iteration) and a bitset (for deduplication), performs no
+// allocation per round once its buffers have grown, and is deterministic
+// given a seed, which makes trials reproducible and embarrassingly
+// parallel.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -57,11 +62,14 @@ func DefaultMaxSteps(n int) int {
 	return steps
 }
 
-// Walk is a running cobra walk on a fixed graph. It is not safe for
-// concurrent use; parallel trials each construct their own Walk.
+// Walk is a running cobra walk on a fixed graph, with K samples per
+// active vertex (New) or a branching function's (NewGeneral). It is not
+// safe for concurrent use; parallel trials each construct their own
+// Walk.
 type Walk struct {
 	g       *graph.Graph
 	cfg     Config
+	branch  BranchingFunc // per-vertex factors (NewGeneral); nil samples cfg.K
 	rnd     *rng.Source
 	blk     *rng.Block // buffered draws for the dense kernel, created lazily
 	draws   []uint64   // whole-round draw scratch for the dense kernel
@@ -216,10 +224,11 @@ func (w *Walk) AppendActive(dst []int32) []int32 {
 func (w *Walk) MessagesSent() int64 { return w.messages }
 
 // Step executes one cobra round: every active vertex samples K random
-// neighbors with replacement; the sampled vertices form the new active
-// set. Rounds whose frontier exceeds N/θ run the dense word-parallel
-// kernel (see kernel.go); smaller rounds run the sparse list kernel,
-// whose draw sequence is byte-stable for a fixed seed.
+// neighbors (or its branching factor's worth, under NewGeneral) with
+// replacement; the sampled vertices form the new active set. Rounds
+// whose frontier exceeds N/θ run the dense word-parallel kernel (see
+// kernel.go); smaller rounds run the sparse list kernel, whose draw
+// sequence is byte-stable for a fixed seed.
 func (w *Walk) Step() {
 	size := w.frontierSize()
 	if size > w.denseCut {
@@ -232,30 +241,60 @@ func (w *Walk) Step() {
 		w.active = w.activeSet.AppendTo(w.active[:0])
 		w.activeIsBits = false
 	}
-	g, k := w.g, w.cfg.K
-	w.messages += int64(k) * int64(len(w.active))
+	// The sparse list kernel has no data-dependent branch per sample:
+	// each sample is stored at next[n], then n and the covered count
+	// advance by the bits that say it was new to nextSet and to covered
+	// (a sample already in nextSet is already covered, so it adds 0 to
+	// both). It draws one Int31n per sample in frontier order and keeps
+	// first-seen order, so the draw sequence and the frontier are the
+	// seed implementation's.
+	offs, adj, rnd := w.g.Offsets(), w.g.Adj(), w.rnd
+	seen, cov := w.nextSet.Words(), w.covered.Words()
+	k, n, covered := w.cfg.K, 0, w.nCovered
+	next := slices.Grow(w.next[:0], k*len(w.active))
+	next = next[:cap(next)]
 	for _, v := range w.active {
-		deg := g.Degree(v)
-		for j := 0; j < k; j++ {
-			u := g.Neighbor(v, w.rnd.Int31n(deg))
-			if !w.nextSet.TestAndAdd(int(u)) {
-				w.next = append(w.next, u)
-				if !w.covered.TestAndAdd(int(u)) {
-					w.nCovered++
-				}
+		if w.branch != nil {
+			k = w.factor(v)
+			if len(next)-n < k {
+				next = slices.Grow(next[:n], k)
+				next = next[:cap(next)]
 			}
 		}
+		w.messages += int64(k)
+		base := offs[v]
+		deg := offs[v+1] - base
+		for j := 0; j < k; j++ {
+			u := adj[base+rnd.Int31n(deg)]
+			i, bit := u>>6, uint(u&63)
+			s, c := seen[i], cov[i]
+			seen[i], cov[i] = s|1<<bit, c|1<<bit
+			next[n] = u
+			n += int(^s >> bit & 1)
+			covered += int(^c >> bit & 1)
+		}
 	}
-	// Swap frontiers; clear nextSet bits via the new frontier list so the
-	// cost is O(|frontier|), not O(n).
-	w.active, w.next = w.next, w.active[:0]
-	for _, u := range w.active {
-		w.nextSet.Remove(int(u))
+	// nextSet holds exactly the new frontier, so zeroing the word of
+	// each of its vertices empties it in O(|frontier|), not O(n).
+	for _, u := range next[:n] {
+		seen[u>>6] = 0
 	}
+	w.nCovered = covered
+	w.active, w.next = next[:n], w.active[:0]
 	w.steps++
 	if w.recording {
 		w.activeLog = append(w.activeLog, len(w.active))
 	}
+}
+
+// factor returns v's branching factor this round: the walk's branching
+// function's value, which must be at least 1.
+func (w *Walk) factor(v int32) int {
+	k := w.branch(v, w.steps, w.rnd)
+	if k < 1 {
+		panic("core: branching function returned < 1")
+	}
+	return k
 }
 
 // RunUntilCovered steps until all n vertices are covered, returning the

@@ -1,12 +1,12 @@
 package core
 
 // This file implements the dense half of the dual-mode cobra-step
-// engine. The sparse kernel (in core.go) walks the frontier as a vertex
-// list with one Lemire draw and one bitset TestAndAdd per sample; it is
-// optimal for small frontiers and is byte-identical to the original
-// engine for a fixed seed. At steady state on well-connected graphs the
-// active set is Θ(n), where per-sample branching and bookkeeping
-// dominate. The dense kernel removes them:
+// engine. The sparse kernel (Walk.Step in core.go) walks the frontier as
+// a vertex list with one Lemire draw per sample and branch-free bitset
+// updates; it is optimal for small frontiers and is byte-identical to
+// the original engine for a fixed seed. At steady state on
+// well-connected graphs the active set is Θ(n), where per-sample draws
+// and bookkeeping dominate. The dense kernel removes them:
 //
 //   - neighbor indices come in chunked blocks from rng.Block.Fill sized
 //     to the unroll factor, and the regular/pow2/irregular shape branch
@@ -20,7 +20,11 @@ package core
 //     and is decoded to a vertex list only when a sparse round or an
 //     accessor needs one.
 //
-// Shape selection:
+// A walk under a branching function (NewGeneral) takes one dense loop
+// of its own, sampleBranching: factors from the walk's Source, then one
+// 32-bit block draw per neighbor by fixed-point multiply on every shape.
+//
+// Shape selection for the fixed-K cobra walk:
 //
 //   - regular, power-of-two degree: mask sampling, base = v·d, no loads
 //     besides the adjacency entry itself;
@@ -169,7 +173,7 @@ func (s *k2Shape) sample(chunk []int32, draws []uint64, mark []byte) {
 	}
 }
 
-// SampleFrontierDense performs the sampling half of one dense branching
+// sampleFrontierDense performs the sampling half of one dense cobra
 // round: every vertex of active draws k uniform neighbors (with
 // replacement) from blk, and each sampled vertex's byte in mark is set
 // to 1. mark must come in all-zero with power-of-two length >= g.N()
@@ -178,11 +182,10 @@ func (s *k2Shape) sample(chunk []int32, draws []uint64, mark []byte) {
 // mask/multiply fast path uses the graph's cached degree metadata;
 // active must not contain isolated vertices (the walk constructors
 // reject graphs that have any). The draw sequence is part of the
-// engine's determinism contract: package epidemic calls this same kernel
-// to stay stream-for-stream identical with the cobra walk. draws is the
-// caller's draw scratch, grown here as needed (pass the address of a
-// reusable, initially nil slice).
-func SampleFrontierDense(g *graph.Graph, active []int32, k int, mark []byte, blk *rng.Block, draws *[]uint64) {
+// engine's determinism contract. draws is the caller's draw scratch,
+// grown here as needed (pass the address of a reusable, initially nil
+// slice).
+func sampleFrontierDense(g *graph.Graph, active []int32, k int, mark []byte, blk *rng.Block, draws *[]uint64) {
 	if k == 2 {
 		s := denseKernelK2(g, mark, len(active))
 		d := ensureDraws(draws, (len(active)*s.hpv+1)/2)
@@ -193,7 +196,7 @@ func SampleFrontierDense(g *graph.Graph, active []int32, k int, mark []byte, blk
 	sampleFrontierGeneralK(g, active, k, mark, blk)
 }
 
-// sampleFrontierBits is SampleFrontierDense reading the frontier from a
+// sampleFrontierBits is sampleFrontierDense reading the frontier from a
 // bitset instead of a list (the bitset-resident frontier). Vertices are
 // visited in ascending order with the same per-vertex draw consumption,
 // so the draw stream is identical to running the list kernel on the
@@ -509,25 +512,29 @@ func sampleFrontierGeneralK(g *graph.Graph, active []int32, k int, mark []byte, 
 	}
 }
 
-// stepDense executes one cobra round with the dense kernel. Semantics
-// match the sparse Step exactly (active set, coverage, message and
-// recording accounting); only the randomness consumption order and the
-// ordering of the materialized frontier (ascending rather than insertion
-// order) differ. size is the current frontier size (list length or
-// bitset population).
+// stepDense executes one round with the dense kernel. Semantics match
+// the sparse Step exactly (active set, coverage, message and recording
+// accounting); only the randomness consumption order and the ordering
+// of the materialized frontier (ascending rather than insertion order)
+// differ. size is the current frontier size (list length or bitset
+// population).
 func (w *Walk) stepDense(size int) {
-	k := w.cfg.K
-	w.messages += int64(k) * int64(size)
 	if w.blk == nil {
 		w.blk = rng.NewBlock(w.rnd)
 	}
 	if w.mark == nil {
 		w.mark = AllocMark(w.g.N())
 	}
-	if w.activeIsBits {
-		sampleFrontierBits(w.g, w.activeSet, k, w.mark, w.blk, &w.active, &w.draws, &w.draws32)
+	if w.branch != nil {
+		w.sampleBranching()
 	} else {
-		SampleFrontierDense(w.g, w.active, k, w.mark, w.blk, &w.draws)
+		k := w.cfg.K
+		w.messages += int64(k) * int64(size)
+		if w.activeIsBits {
+			sampleFrontierBits(w.g, w.activeSet, k, w.mark, w.blk, &w.active, &w.draws, &w.draws32)
+		} else {
+			sampleFrontierDense(w.g, w.active, k, w.mark, w.blk, &w.draws)
+		}
 	}
 	// Gather the sampled marks into the frontier bitset (overwriting last
 	// round's bits, so no ping-pong or clear pass is needed) and merge
@@ -542,48 +549,27 @@ func (w *Walk) stepDense(size int) {
 	}
 }
 
-// stepDense executes one generalized round with block-sampled draws,
-// mark-byte membership, and word-parallel coverage merging. Branching
-// factors still come from the walk's BranchingFunc (which draws from the
-// walk's Source, not the block); neighbor draws use the same per-shape
-// schemes as the cobra kernel, including the offset/multiply sampler on
-// irregular graphs.
-func (w *GeneralWalk) stepDense() {
-	g := w.g
-	if w.blk == nil {
-		w.blk = rng.NewBlock(w.rnd)
+// sampleBranching is the dense sampling loop under a branching
+// function: it visits the frontier in ascending order (materializing a
+// bitset-resident one), takes each vertex's factor from the walk's
+// BranchingFunc (which draws from the walk's Source, not the block),
+// then each of its neighbors from one 32-bit block draw by fixed-point
+// multiply, on every graph shape.
+func (w *Walk) sampleBranching() {
+	if w.activeIsBits {
+		w.active = w.activeSet.AppendTo(w.active[:0])
 	}
-	if w.mark == nil {
-		w.mark = AllocMark(g.N())
-	}
-	blk := w.blk
-	adj, offs := g.Adj(), g.Offsets()
-	mark := w.mark
-	regular, rdeg := g.IsRegular()
-	d := uint64(rdeg)
+	adj, offs, mark, blk := w.g.Adj(), w.g.Offsets(), w.mark, w.blk
 	for _, v := range w.active {
-		k := w.branch(v, w.steps, w.rnd)
-		if k < 1 {
-			panic("core: branching function returned < 1")
-		}
+		k := w.factor(v)
+		w.messages += int64(k)
 		base := offs[v]
-		dd := d
-		if !regular {
-			dd = uint64(offs[v+1] - base)
-		}
-		if dd == 0 {
+		d := uint64(offs[v+1] - base)
+		if d == 0 {
 			panic("core: dense kernel reached an isolated vertex")
 		}
 		for j := 0; j < k; j++ {
-			mark[adj[base+int32(uint64(blk.Next32())*dd>>32)]] = 1
+			mark[adj[base+int32(uint64(blk.Next32())*d>>32)]] = 1
 		}
 	}
-	// nextSet doubles as the sparse kernel's dedup scratch, so it must go
-	// back to empty before the next sparse round.
-	w.nextSet.FromMarks(mark[:g.N()])
-	w.nCovered += w.covered.UnionCount(w.nextSet)
-	w.next = w.nextSet.AppendTo(w.next[:0])
-	w.nextSet.Clear()
-	w.active, w.next = w.next, w.active[:0]
-	w.steps++
 }

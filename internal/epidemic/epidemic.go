@@ -7,8 +7,10 @@
 // per-round recovery probability Gamma; each infected vertex draws K
 // random neighbor contacts (uniformly, with replacement) per round. With
 // Beta = 1 and Gamma = 1 the infected-set dynamics are exactly the
-// K-cobra walk of package core — a correspondence the tests verify
-// stream-for-stream.
+// K-cobra walk, so that idealization runs on a core.Walk: the infected
+// set is the walk's active set and exposure its covered set, which makes
+// the two processes stream-for-stream identical by construction. Only
+// Beta < 1 or Gamma < 1 runs the contact loop of this package.
 package epidemic
 
 import (
@@ -33,13 +35,6 @@ type Config struct {
 	Gamma float64
 	// MaxRounds caps runs; zero selects a generous default.
 	MaxRounds int
-	// DenseTheta is the kernel-switch density of the Beta = Gamma = 1
-	// idealization path, mirroring core.Config.DenseTheta: rounds whose
-	// infected set exceeds N/θ run the same dense word-parallel kernel
-	// as the cobra walk, keeping the two processes stream-for-stream
-	// identical. Zero selects core.DefaultDenseTheta; negative disables
-	// the dense kernel.
-	DenseTheta int
 }
 
 // validate panics on nonsensical configuration.
@@ -57,17 +52,18 @@ type Process struct {
 	g   *graph.Graph
 	cfg Config
 	rnd *rng.Source
-	blk *rng.Block // buffered draws for the dense idealization kernel
 
-	denseCut int // dense kernel when len(infected) > denseCut (Beta=Gamma=1 only)
+	// walk runs the Beta = Gamma = 1 idealization: infected is its
+	// active set, exposure its covered set. It is nil when Beta < 1 or
+	// Gamma < 1, and the contact-loop state below is used instead.
+	walk *core.Walk
 
-	infected    []int32     // current infected vertices (unique)
-	next        []int32     // next round's infected under construction
-	nextSet     *bitset.Set // membership for next
-	mark        []byte      // dense-round membership marks, all-zero between rounds
-	draws       []uint64    // whole-round draw scratch for the dense kernel
-	everSet     *bitset.Set // ever-infected (exposure)
-	everCount   int
+	infected  []int32     // current infected vertices (unique)
+	next      []int32     // next round's infected under construction
+	nextSet   *bitset.Set // membership for next
+	everSet   *bitset.Set // ever-infected (exposure)
+	everCount int
+
 	rounds      int
 	peak        int
 	totalInfect int64 // cumulative infection events (for attack-rate stats)
@@ -85,32 +81,40 @@ func New(g *graph.Graph, patientZero []int32, cfg Config, rnd *rng.Source) *Proc
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 200*g.N()*g.N() + 100000
 	}
-	p := &Process{
-		g:        g,
-		cfg:      cfg,
-		rnd:      rnd,
-		denseCut: core.DenseCutoff(g.N(), cfg.DenseTheta),
-		nextSet:  bitset.New(g.N()),
-		everSet:  bitset.New(g.N()),
-	}
-	seen := bitset.New(g.N())
-	for _, v := range patientZero {
-		if !seen.TestAndAdd(int(v)) {
-			p.infected = append(p.infected, v)
-			p.everSet.Add(int(v))
-			p.everCount++
+	p := &Process{g: g, cfg: cfg, rnd: rnd}
+	if cfg.Beta == 1 && cfg.Gamma == 1 {
+		p.walk = core.New(g, core.Config{K: cfg.K, MaxSteps: cfg.MaxRounds}, rnd)
+		p.walk.ResetSet(patientZero)
+	} else {
+		p.nextSet = bitset.New(g.N())
+		p.everSet = bitset.New(g.N())
+		for _, v := range patientZero {
+			if !p.everSet.TestAndAdd(int(v)) {
+				p.infected = append(p.infected, v)
+				p.everCount++
+			}
 		}
 	}
-	p.peak = len(p.infected)
+	p.peak = p.InfectedCount()
 	return p
 }
 
 // InfectedCount returns the current prevalence.
-func (p *Process) InfectedCount() int { return len(p.infected) }
+func (p *Process) InfectedCount() int {
+	if p.walk != nil {
+		return p.walk.ActiveCount()
+	}
+	return len(p.infected)
+}
 
 // EverInfectedCount returns the cumulative exposure (distinct vertices
 // ever infected).
-func (p *Process) EverInfectedCount() int { return p.everCount }
+func (p *Process) EverInfectedCount() int {
+	if p.walk != nil {
+		return p.walk.CoveredCount()
+	}
+	return p.everCount
+}
 
 // Rounds returns the number of rounds executed.
 func (p *Process) Rounds() int { return p.rounds }
@@ -119,7 +123,7 @@ func (p *Process) Rounds() int { return p.rounds }
 func (p *Process) Peak() int { return p.peak }
 
 // Extinct reports whether the infection has died out.
-func (p *Process) Extinct() bool { return len(p.infected) == 0 }
+func (p *Process) Extinct() bool { return p.InfectedCount() == 0 }
 
 // MaxRounds returns the effective per-run round cap (the configured
 // value, or the generous default when the config left it zero).
@@ -128,6 +132,9 @@ func (p *Process) MaxRounds() int { return p.cfg.MaxRounds }
 // AppendInfected appends the currently infected vertices to dst and
 // returns the extended slice.
 func (p *Process) AppendInfected(dst []int32) []int32 {
+	if p.walk != nil {
+		return p.walk.AppendActive(dst)
+	}
 	return append(dst, p.infected...)
 }
 
@@ -137,13 +144,25 @@ func (p *Process) TotalInfections() int64 { return p.totalInfect }
 
 // Step executes one synchronous round: every infected vertex draws K
 // contacts, transmitting with probability Beta each; it then recovers
-// with probability Gamma, otherwise remaining infected next round.
+// with probability Gamma, otherwise remaining infected next round. In
+// the idealization every vertex of the new infected set is one
+// infection event.
 func (p *Process) Step() {
-	g := p.g
-	if p.cfg.Beta == 1 && p.cfg.Gamma == 1 && len(p.infected) > p.denseCut {
-		p.stepDense()
-		return
+	if p.walk != nil {
+		p.walk.Step()
+		p.totalInfect += int64(p.walk.ActiveCount())
+	} else {
+		p.contacts()
 	}
+	p.peak = max(p.peak, p.InfectedCount())
+	p.rounds++
+}
+
+// contacts runs one round of the contact loop, for Beta < 1 or
+// Gamma < 1: its Beta and Gamma draws interleave with the neighbor
+// draws in vertex order.
+func (p *Process) contacts() {
+	g := p.g
 	for _, v := range p.infected {
 		deg := g.Degree(v)
 		for j := 0; j < p.cfg.K; j++ {
@@ -170,36 +189,6 @@ func (p *Process) Step() {
 	for _, u := range p.infected {
 		p.nextSet.Remove(int(u))
 	}
-	if len(p.infected) > p.peak {
-		p.peak = len(p.infected)
-	}
-	p.rounds++
-}
-
-// stepDense executes one round of the Beta = Gamma = 1 idealization
-// with the cobra walk's dense kernel: every infected vertex transmits to
-// K sampled neighbors and recovers. It replays core.Walk.stepDense draw
-// for draw, preserving the exact stream correspondence between the SIS
-// idealization and the cobra walk in both kernel modes.
-func (p *Process) stepDense() {
-	if p.blk == nil {
-		p.blk = rng.NewBlock(p.rnd)
-	}
-	if p.mark == nil {
-		p.mark = core.AllocMark(p.g.N())
-	}
-	core.SampleFrontierDense(p.g, p.infected, p.cfg.K, p.mark, p.blk, &p.draws)
-	// nextSet doubles as the sparse round's dedup scratch, so it is
-	// cleared again after the frontier list is materialized.
-	p.totalInfect += int64(p.nextSet.FromMarks(p.mark[:p.g.N()]))
-	p.everCount += p.everSet.UnionCount(p.nextSet)
-	p.next = p.nextSet.AppendTo(p.next[:0])
-	p.nextSet.Clear()
-	p.infected, p.next = p.next, p.infected[:0]
-	if len(p.infected) > p.peak {
-		p.peak = len(p.infected)
-	}
-	p.rounds++
 }
 
 // Outcome describes how a run ended.
@@ -231,7 +220,7 @@ func (o Outcome) String() string {
 func (p *Process) Run() (Outcome, int) {
 	n := p.g.N()
 	for {
-		if p.everCount == n {
+		if p.EverInfectedCount() == n {
 			return FullExposure, p.rounds
 		}
 		if p.Extinct() {

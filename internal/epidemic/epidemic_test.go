@@ -1,6 +1,7 @@
 package epidemic
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -159,4 +160,36 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		New(g, nil, Config{K: 1, Beta: 1, Gamma: 1}, rng.New(1))
 	}()
+}
+
+// TestIdealizationCounterMapping pins how the Beta = Gamma = 1
+// idealization reads its core.Walk: the infected set is the active set
+// (same vertices, same order), exposure is coverage, rounds are steps,
+// every vertex of each new infected set is one infection event, and the
+// peak is the largest frontier, the duplicate-coalesced start included.
+// The graph reaches dense rounds, whose frontier order is ascending.
+func TestIdealizationCounterMapping(t *testing.T) {
+	g := graph.MustRandomRegular(400, 5, 8)
+	start := []int32{3, 9, 3, 77}
+	sis := New(g, start, Config{K: 2, Beta: 1, Gamma: 1}, rng.New(31))
+	cobra := core.New(g, core.Config{K: 2}, rng.New(31))
+	cobra.ResetSet(start)
+	var total int64
+	peak := cobra.ActiveCount()
+	for round := 1; round <= 30; round++ {
+		sis.Step()
+		cobra.Step()
+		total += int64(cobra.ActiveCount())
+		peak = max(peak, cobra.ActiveCount())
+		got, want := sis.AppendInfected(nil), cobra.AppendActive(nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: infected %v, active %v", round, got, want)
+		}
+		if sis.EverInfectedCount() != cobra.CoveredCount() || sis.Rounds() != cobra.Steps() ||
+			sis.TotalInfections() != total || sis.Peak() != peak {
+			t.Fatalf("round %d: exposure %d rounds %d infections %d peak %d; cobra covered %d steps %d, frontier sum %d, peak %d",
+				round, sis.EverInfectedCount(), sis.Rounds(), sis.TotalInfections(), sis.Peak(),
+				cobra.CoveredCount(), cobra.Steps(), total, peak)
+		}
+	}
 }

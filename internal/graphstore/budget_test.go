@@ -40,8 +40,8 @@ func checkIdle(t *testing.T, s *Store) *entry {
 	idle := idleEntries(s)
 	var sum int64
 	for _, e := range idle {
-		if e.refs != 0 || s.mem[e.fp] != e || s.byGraph[e.g] != e {
-			t.Fatalf("idle entry %.12s: refs %d, registered %v", e.fp, e.refs, s.mem[e.fp] == e)
+		if e.refs != 0 || s.mem[e.key] != e || s.byGraph[e.g] != e {
+			t.Fatalf("idle entry %.12s: refs %d, registered %v", e.fp, e.refs, s.mem[e.key] == e)
 		}
 		sum += e.size
 	}
@@ -103,7 +103,7 @@ func TestIdleBudget(t *testing.T) {
 			if !sameCSR(held, heldWant) {
 				t.Fatal("held graph changed while idle graphs were evicted")
 			}
-			if s.mem[Fingerprint("regular:256,4", 1000)] == nil {
+			if s.mem[key{"regular:256,4", 1000}] == nil {
 				t.Fatal("held graph evicted")
 			}
 

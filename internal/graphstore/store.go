@@ -14,7 +14,8 @@
 //
 // Resolution tiers, cheapest first:
 //
-//	mem   — the fingerprint is live in the in-process registry
+//	mem   — (spec, seed) is live in the in-process registry, which is
+//	        keyed by the pair, so this tier hashes nothing
 //	disk  — a verified artifact file was mapped (or read) back
 //	build — the generator ran; the artifact is written for next time
 //
@@ -108,8 +109,17 @@ type Options struct {
 // the memory a long-running daemon would otherwise keep.
 const idleBudget = 64 << 20
 
+// key is a registry key: the (spec, seed) pair a fingerprint hashes.
+// Keying the registry on the pair itself keeps the hash off the warm
+// path; a resolve computes the fingerprint only on a registry miss.
+type key struct {
+	spec string
+	seed uint64
+}
+
 // entry is one live graph in the in-process registry.
 type entry struct {
+	key    key
 	fp     string
 	g      *graph.Graph
 	mapped []byte // non-nil when g aliases an mmap'd artifact
@@ -141,9 +151,9 @@ type Store struct {
 	build       func(spec string, seed uint64) (*graph.Graph, error)
 
 	mu       sync.Mutex
-	mem      map[string]*entry
+	mem      map[key]*entry
 	byGraph  map[*graph.Graph]*entry
-	inflight map[string]*call
+	inflight map[key]*call
 
 	// idle is the sentinel of a ring of the unreferenced entries of mem:
 	// idle.next is the most recently released, idle.prev the oldest.
@@ -186,9 +196,9 @@ func Open(opts Options) (*Store, error) {
 		dir:         opts.Dir,
 		disableMmap: opts.DisableMmap,
 		build:       opts.Build,
-		mem:         make(map[string]*entry),
+		mem:         make(map[key]*entry),
 		byGraph:     make(map[*graph.Graph]*entry),
-		inflight:    make(map[string]*call),
+		inflight:    make(map[key]*call),
 		idleBudget:  idleBudget,
 	}
 	s.idle.prev, s.idle.next = &s.idle, &s.idle
@@ -212,7 +222,8 @@ func (s *Store) path(fp string) string { return s.files.Path(fp) }
 
 // Resolve returns the graph for (spec, seed), building it at most once
 // per fingerprint across all concurrent callers. The caller must pair
-// every successful Resolve with a Release.
+// every successful Resolve with a Release. A resolve the registry
+// serves neither hashes nor allocates.
 func (s *Store) Resolve(spec string, seed uint64) (*graph.Graph, error) {
 	g, _, err := s.ResolveTier(spec, seed)
 	return g, err
@@ -220,18 +231,18 @@ func (s *Store) Resolve(spec string, seed uint64) (*graph.Graph, error) {
 
 // ResolveTier is Resolve reporting which tier served the graph.
 func (s *Store) ResolveTier(spec string, seed uint64) (*graph.Graph, Tier, error) {
-	fp := Fingerprint(spec, seed)
+	k := key{spec, seed}
 	for {
 		s.mu.Lock()
-		if e, ok := s.mem[fp]; ok {
+		if e, ok := s.mem[k]; ok {
 			s.unidle(e)
 			e.refs++
 			s.memHits++
 			s.mu.Unlock()
 			return e.g, TierMem, nil
 		}
-		if c, ok := s.inflight[fp]; ok {
-			// Another resolver is building or loading this fingerprint:
+		if c, ok := s.inflight[k]; ok {
+			// Another resolver is building or loading this graph:
 			// wait for it, then take the registry path (counted as a mem
 			// hit — the wait bought exactly the shared in-process graph).
 			s.mu.Unlock()
@@ -242,30 +253,31 @@ func (s *Store) ResolveTier(spec string, seed uint64) (*graph.Graph, Tier, error
 			continue
 		}
 		c := &call{done: make(chan struct{})}
-		s.inflight[fp] = c
+		s.inflight[k] = c
 		s.mu.Unlock()
 
-		g, tier, err := s.populate(fp, spec, seed)
+		g, tier, err := s.populate(k)
 		c.err = err
 		s.mu.Lock()
-		delete(s.inflight, fp)
+		delete(s.inflight, k)
 		s.mu.Unlock()
 		close(c.done)
 		return g, tier, err
 	}
 }
 
-// populate loads fp from disk or builds it, installs the entry with the
-// caller's reference, and returns the serving tier. Runs outside s.mu
-// (the inflight call excludes duplicate work on fp).
-func (s *Store) populate(fp, spec string, seed uint64) (*graph.Graph, Tier, error) {
+// populate loads k's artifact from disk or builds it, installs the
+// entry with the caller's reference, and returns the serving tier. Runs
+// outside s.mu (the inflight call excludes duplicate work on k).
+func (s *Store) populate(k key) (*graph.Graph, Tier, error) {
+	fp := Fingerprint(k.spec, k.seed)
 	if s.dir != "" {
 		if g, mapped, ok := s.loadDisk(fp); ok {
-			s.install(fp, g, mapped, TierDisk)
+			s.install(k, fp, g, mapped, TierDisk)
 			return g, TierDisk, nil
 		}
 	}
-	g, err := s.build(spec, seed)
+	g, err := s.build(k.spec, k.seed)
 	if err != nil {
 		return nil, TierBuild, err
 	}
@@ -274,7 +286,7 @@ func (s *Store) populate(fp, spec string, seed uint64) (*graph.Graph, Tier, erro
 		// costs the next cold resolve a rebuild, nothing else.
 		_ = s.files.Write(fp, graph.EncodeBinary(g), time.Now())
 	}
-	s.install(fp, g, nil, TierBuild)
+	s.install(k, fp, g, nil, TierBuild)
 	return g, TierBuild, nil
 }
 
@@ -318,10 +330,10 @@ func decodeVerified(data []byte) (*graph.Graph, error) {
 
 // install registers a freshly served graph with one reference (the
 // resolving caller's) and counts the serving tier.
-func (s *Store) install(fp string, g *graph.Graph, mapped []byte, tier Tier) {
-	e := &entry{fp: fp, g: g, mapped: mapped, refs: 1}
+func (s *Store) install(k key, fp string, g *graph.Graph, mapped []byte, tier Tier) {
+	e := &entry{key: k, fp: fp, g: g, mapped: mapped, refs: 1}
 	s.mu.Lock()
-	s.mem[fp] = e
+	s.mem[k] = e
 	s.byGraph[g] = e
 	if mapped != nil {
 		s.mmapBytes += int64(len(mapped))
@@ -389,7 +401,7 @@ func (s *Store) park(e *entry) (unmap [][]byte) {
 			break
 		}
 		s.unidle(old)
-		delete(s.mem, old.fp)
+		delete(s.mem, old.key)
 		unmap = append(unmap, s.forget(old))
 		s.memEvicted++
 	}
@@ -440,18 +452,25 @@ func (s *Store) GC(now time.Time) (removed int, freed int64) {
 }
 
 // evict drops a GC'd fingerprint from the registry, unmapping it now if
-// idle, else on its last Release (a dropped entry never goes idle).
+// idle, else on its last Release (a dropped entry never goes idle). The
+// registry is keyed by (spec, seed), so the entry is found by scanning
+// for its fingerprint: GC evictions are rare, and the registry holds
+// only the graphs jobs hold plus the idle budget's worth.
 func (s *Store) evict(fp string) {
 	var unmap []byte
 	s.mu.Lock()
-	if e, ok := s.mem[fp]; ok {
-		delete(s.mem, fp)
+	for k, e := range s.mem {
+		if e.fp != fp {
+			continue
+		}
+		delete(s.mem, k)
 		if e.refs <= 0 {
 			s.unidle(e)
 			unmap = s.forget(e)
 		} else {
 			e.dropped = true
 		}
+		break
 	}
 	s.mu.Unlock()
 	if unmap != nil {

@@ -441,3 +441,56 @@ func TestOpenScanTolerance(t *testing.T) {
 	}
 	s.Release(g2)
 }
+
+// TestWarmResolveAllocatesNothing pins the mem tier's cost: a resolve
+// the registry serves, and its release, neither hash the key nor
+// allocate.
+func TestWarmResolveAllocatesNothing(t *testing.T) {
+	s := open(t, Options{Dir: t.TempDir()})
+	g, _ := mustResolveTier(t, s, "regular:256,4", 1)
+	s.Release(g)
+	allocs := testing.AllocsPerRun(100, func() {
+		g, err := s.Resolve("regular:256,4", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release(g)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm resolve + release made %v allocations, want 0", allocs)
+	}
+}
+
+// TestGCEvictsMatchingEntry checks that GC, which names artifacts by
+// fingerprint, drops exactly the registry entry of the file it removed
+// from a registry keyed by (spec, seed).
+func TestGCEvictsMatchingEntry(t *testing.T) {
+	dir := t.TempDir()
+	seed := open(t, Options{Dir: dir})
+	specs := []string{"cycle:32", "cycle:48"}
+	for i, spec := range specs {
+		g, _ := mustResolveTier(t, seed, spec, 0)
+		seed.Release(g)
+		when := time.Now().Add(time.Duration(i-10) * time.Hour)
+		if err := os.Chtimes(seed.path(Fingerprint(spec, 0)), when, when); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A fresh store scans the stamped times; both graphs then sit idle
+	// in its registry.
+	s := open(t, Options{Dir: dir})
+	for _, spec := range specs {
+		g, _ := mustResolveTier(t, s, spec, 0)
+		s.Release(g)
+	}
+	s.SetLimits(store.Limits{MaxAge: 9*time.Hour + 30*time.Minute})
+	if removed, _ := s.GC(time.Now()); removed != 1 {
+		t.Fatalf("GC removed %d artifacts, want 1", removed)
+	}
+	if _, tier := mustResolveTier(t, s, "cycle:32", 0); tier != TierBuild {
+		t.Fatalf("evicted graph resolved from %v, want build", tier)
+	}
+	if _, tier := mustResolveTier(t, s, "cycle:48", 0); tier != TierMem {
+		t.Fatalf("kept graph resolved from %v, want mem", tier)
+	}
+}

@@ -126,9 +126,10 @@ func runCobraTraced(w *core.Walk, tr obs.Trace, n int, frac float64, depths, scr
 	return w.Steps(), true, scratch
 }
 
-// generalProcess runs core.GeneralWalk under one of the branching rules
-// of branching.go — the paper's §1 "branching varied by vertex, time
-// step, or random distribution" variation.
+// generalProcess runs core.NewGeneral's walk under one of the branching
+// rules of branching.go — the paper's §1 "branching varied by vertex,
+// time step, or random distribution" variation. Like cobraProcess it
+// pools one walk per worker and traces through runCobraTraced.
 type generalProcess struct{ base }
 
 func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
@@ -158,19 +159,15 @@ func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
 	r.progress()(0, r.Trials)
 	values, err := sim.RunTrialsPooledContext(ctx, r.Trials, r.Seed,
 		func() sim.TrialFunc {
-			var w *core.GeneralWalk
+			w := core.NewGeneral(r.Graph, branch, maxSteps, rng.New(0))
 			var frontier []int32 // traced-trial scratch
 			return func(trial int, src *rng.Source) (float64, error) {
-				// The worker's Source is reseeded in place per trial, so
-				// one walk bound to it on first use serves every trial.
-				if w == nil {
-					w = core.NewGeneral(r.Graph, branch, maxSteps, src)
-				}
+				w.SetRand(src)
 				w.Reset(start)
 				var steps int
 				var ok bool
 				if tr := r.observe(trial); tr != nil {
-					steps, ok, frontier = runGeneralTraced(w, tr, r.Graph.N(), depths, frontier)
+					steps, ok, frontier = runCobraTraced(w, tr, r.Graph.N(), 1, depths, frontier)
 				} else {
 					steps, ok = w.RunUntilCovered()
 				}
@@ -185,20 +182,4 @@ func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Values: values, Summary: uniformSummary(values, r.Graph)}, nil
-}
-
-// runGeneralTraced replicates GeneralWalk.RunUntilCovered round for
-// round while reporting one frame per executed round to tr.
-func runGeneralTraced(w *core.GeneralWalk, tr obs.Trace, n int, depths, scratch []int32) (int, bool, []int32) {
-	defer tr.End()
-	for w.CoveredCount() < n {
-		if w.Steps() >= w.MaxSteps() {
-			return w.Steps(), false, scratch
-		}
-		w.Step()
-		scratch = w.AppendActive(scratch[:0])
-		minPos, maxPos := frontierSpan(depths, scratch)
-		tr.Round(w.CoveredCount(), n, w.ActiveCount(), minPos, maxPos)
-	}
-	return w.Steps(), true, scratch
 }

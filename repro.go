@@ -208,8 +208,9 @@ func NewGridTracker(d, side int, start, target []int, src *Rand) *GridTracker {
 type BranchingFunc = core.BranchingFunc
 
 // GeneralCobraWalk is a cobra walk whose branching factor may vary per
-// vertex, per round, or randomly.
-type GeneralCobraWalk = core.GeneralWalk
+// vertex, per round, or randomly: the same engine as CobraWalk, built by
+// NewGeneralCobraWalk.
+type GeneralCobraWalk = core.Walk
 
 // NewGeneralCobraWalk constructs a generalized cobra walk; maxSteps of
 // zero selects an automatic cap.
@@ -368,7 +369,8 @@ func ExactReturnTime(g *Graph, v int32, tol float64, maxIter int) float64 {
 
 // SISConfig parameterizes an SIS epidemic (contacts per round K,
 // per-contact transmission Beta, per-round recovery Gamma). Beta = 1,
-// Gamma = 1 reproduces the K-cobra walk exactly.
+// Gamma = 1 is the K-cobra walk itself: that idealization steps on a
+// CobraWalk, so it reproduces the walk draw for draw.
 type SISConfig = epidemic.Config
 
 // SISProcess is a running SIS epidemic.

@@ -1,33 +1,44 @@
-// Command benchgate compares a fresh `go test -bench` run against the
-// latest committed BENCH_<date>.txt baseline and fails when a gated
-// benchmark's median ns/op has regressed beyond the allowed fraction.
-// `make bench-baseline` records baselines; benchgate holds new code to
-// them.
+// Command benchgate compares two `go test -bench` runs made on one host,
+// the base commit's and the change's, and fails when a gated
+// benchmark's median ns/op has regressed beyond the allowed fraction,
+// or when its samples spread too widely to tell whether it has. scripts/bench_gate.sh
+// builds both test binaries and runs them interleaved; benchgate only
+// compares.
 //
 // Run from the repository root (the Makefile and CI use the wrapper):
 //
-//	./scripts/bench_gate.sh          # measure + compare in one step
-//	go run ./scripts/benchgate -fresh fresh.txt
+//	./scripts/bench_gate.sh          # build, measure and compare
+//	go run ./scripts/benchgate -baseline base.txt -fresh head.txt
 //
-// Both sides are standard benchmark output, one line per run, so a run
-// with -count N gives every benchmark N samples and the gate compares
-// their medians. The baseline defaults to the newest BENCH_<date>.txt
-// in the repository root; the BENCH_<date>.json files of the retired
-// JSON harness stay in-tree as history and are never a baseline. Only
-// the benchmarks named by -gate fail the run — the remaining shared
-// benchmarks are reported for context, because absolute ns/op
-// comparisons across different machines are noisy. The gated set is
-// kept to the steady-state step kernel, the warm graph resolve and the
-// random-regular build, whose five baseline samples each sit within 10%
-// of their median.
+// Both sides are standard benchmark output, one line per run, so every
+// benchmark has one sample per run and the gate compares medians. Only
+// the benchmarks named by -gate fail the run; the rest are reported for
+// context. The committed BENCH_<date>.txt files record absolute numbers
+// over time and are not a baseline: a run from another day, or another
+// machine, measures the host as much as the code.
+//
+// A gated benchmark's spread is the half-width of an approximate 95%
+// confidence interval for the relative change of its median: each
+// side's standard error of the median is estimated from its
+// interquartile range (1.2533 · IQR/1.349 / √n, over the median), and
+// the spread is 1.96 times the root sum of squares of the two. It
+// shrinks as samples accumulate, so a benchmark whose single runs
+// scatter widely is settled by measuring it more often.
+//
+// Exit status: 0 when every gated benchmark is within the bound, 1 when
+// one regressed or is missing from the fresh run, and 2 when the only
+// failures are gated benchmarks whose spread exceeds the bound. The
+// last line then names them ("benchgate: noisy: A,B") so the wrapper
+// can measure them again.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -42,34 +53,29 @@ type run struct {
 	ns    map[string][]float64
 }
 
-// datedBaseline matches committed baseline files and nothing else:
-// BENCH_2026-07-27.txt is a baseline, an ad-hoc snapshot such as
-// BENCH_2026-07-27_pre.txt must not silently become the reference.
-var datedBaseline = regexp.MustCompile(`^BENCH_\d{4}-\d{2}-\d{2}\.txt$`)
+// verdict is the outcome of a comparison; its value is the exit status.
+type verdict int
+
+const (
+	pass verdict = iota
+	fail
+	noisy
+)
 
 // procSuffix is the -GOMAXPROCS suffix go test appends to names.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
-	baselinePath := flag.String("baseline", "", "baseline BENCH_<date>.txt (default: newest committed one in -root)")
-	freshPath := flag.String("fresh", "", "fresh `go test -bench` output to compare (required)")
-	root := flag.String("root", ".", "repository root to scan for baselines")
+	basePath := flag.String("baseline", "", "the base commit's `go test -bench` output (required)")
+	freshPath := flag.String("fresh", "", "the change's `go test -bench` output, measured on the same host (required)")
 	gate := flag.String("gate", "CobraStepExpander,GraphResolveWarm,GraphBuildRegular", "comma-separated benchmark names that fail the run on regression")
-	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional regression of a gated benchmark's median ns/op")
+	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional regression of a gated benchmark's median ns/op, and allowed spread of that change")
 	flag.Parse()
 
-	if *freshPath == "" {
-		fatal(fmt.Errorf("benchgate: -fresh is required (run go test -bench first, or use scripts/bench_gate.sh)"))
+	if *basePath == "" || *freshPath == "" {
+		fatal(fmt.Errorf("benchgate: -baseline and -fresh are required (use scripts/bench_gate.sh to measure both)"))
 	}
-	if *baselinePath == "" {
-		p, err := latestBaseline(*root)
-		if err != nil {
-			fatal(err)
-		}
-		*baselinePath = p
-	}
-
-	base, err := load(*baselinePath)
+	base, err := load(*basePath)
 	if err != nil {
 		fatal(err)
 	}
@@ -77,72 +83,70 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("benchgate: baseline %s (%s) vs fresh (%s); medians of ns/op\n",
-		filepath.Base(*baselinePath), base.cpu, fresh.cpu)
-
-	gated := make(map[string]bool)
+	var gated []string
 	for _, name := range strings.Split(*gate, ",") {
 		if name = strings.TrimSpace(name); name != "" {
-			gated[name] = true
+			gated = append(gated, name)
 		}
 	}
+	os.Exit(int(compare(os.Stdout, base, fresh, gated, *maxRegress)))
+}
 
+// compare writes the comparison table to w and returns the verdict. A
+// gated benchmark fails when its fresh median exceeds the base median
+// by more than maxRegress, or when the fresh run lacks it; it is noisy
+// when its spread exceeds maxRegress. A noisy benchmark is never
+// passed, and never failed as a regression: its medians are not trusted
+// until more samples settle them.
+func compare(w io.Writer, base, fresh run, gated []string, maxRegress float64) verdict {
+	isGated := make(map[string]bool)
+	for _, name := range gated {
+		isGated[name] = true
+	}
+	fmt.Fprintf(w, "benchgate: base (%s) vs fresh (%s); medians of ns/op, change ± its 95%% spread\n", base.cpu, fresh.cpu)
 	failed := 0
+	var unsettled []string
 	for _, name := range fresh.order {
-		fm := median(fresh.ns[name])
+		fs := fresh.ns[name]
 		bs, ok := base.ns[name]
 		if !ok {
-			fmt.Printf("  %-28s %12.0f ns/op  (no baseline)\n", name, fm)
+			fmt.Fprintf(w, "  %-28s %12.0f ns/op  (not in base)\n", name, median(fs))
 			continue
 		}
-		bm := median(bs)
-		delta := fm/bm - 1
+		delta, sp := median(fs)/median(bs)-1, spread(bs, fs)
 		mark := " "
-		if gated[name] {
+		if isGated[name] {
 			mark = "*"
-			if delta > *maxRegress {
+			switch {
+			case sp > maxRegress:
+				mark = "?"
+				unsettled = append(unsettled, name)
+			case delta > maxRegress:
 				mark = "!"
 				failed++
 			}
 		}
-		fmt.Printf("%s %-28s %12.0f -> %10.0f ns/op  %+6.1f%%  (n=%d/%d)\n",
-			mark, name, bm, fm, 100*delta, len(bs), len(fresh.ns[name]))
+		fmt.Fprintf(w, "%s %-28s %12.0f -> %10.0f ns/op  %+6.1f%% ± %4.1f%%  (n=%d/%d)\n",
+			mark, name, median(bs), median(fs), 100*delta, 100*sp, len(bs), len(fs))
 	}
 	// A gate over a benchmark the fresh run never measured is a harness
 	// bug, not a pass: fail loudly instead of green-lighting nothing.
-	for name := range gated {
+	for _, name := range gated {
 		if _, ok := fresh.ns[name]; !ok {
-			fmt.Fprintf(os.Stderr, "benchgate: gated benchmark %s missing from fresh results\n", name)
+			fmt.Fprintf(w, "benchgate: gated benchmark %s missing from fresh results\n", name)
 			failed++
 		}
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — %d gated benchmark(s) regressed more than %.0f%% (or went missing)\n",
-			failed, 100**maxRegress)
-		os.Exit(1)
+	switch {
+	case failed > 0:
+		fmt.Fprintf(w, "benchgate: FAIL — %d gated benchmark(s) regressed more than %.0f%% (or went missing)\n", failed, 100*maxRegress)
+		return fail
+	case len(unsettled) > 0:
+		fmt.Fprintf(w, "benchgate: noisy: %s\n", strings.Join(unsettled, ","))
+		return noisy
 	}
-	fmt.Printf("benchgate: OK — gated benchmarks within %.0f%% of baseline\n", 100**maxRegress)
-}
-
-// latestBaseline returns the newest strictly-dated BENCH_<date>.txt in
-// root. The date is the filename, so lexicographic order is
-// chronological order.
-func latestBaseline(root string) (string, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return "", fmt.Errorf("benchgate: scan %s: %w", root, err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && datedBaseline.MatchString(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) == 0 {
-		return "", fmt.Errorf("benchgate: no BENCH_<date>.txt baseline in %s (run make bench-baseline)", root)
-	}
-	sort.Strings(names)
-	return filepath.Join(root, names[len(names)-1]), nil
+	fmt.Fprintf(w, "benchgate: OK — gated benchmarks within %.0f%% of base\n", 100*maxRegress)
+	return pass
 }
 
 // load parses benchmark result lines ("BenchmarkName-N  iters  v ns/op
@@ -154,8 +158,17 @@ func load(path string) (run, error) {
 		return run{}, fmt.Errorf("benchgate: %w", err)
 	}
 	defer f.Close()
+	r, err := parse(f)
+	if err != nil {
+		return run{}, fmt.Errorf("benchgate: %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// parse is load's reader half.
+func parse(rd io.Reader) (run, error) {
 	r := run{ns: make(map[string][]float64)}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(rd)
 	for sc.Scan() {
 		line := sc.Text()
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
@@ -173,7 +186,7 @@ func load(path string) (run, error) {
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return run{}, fmt.Errorf("benchgate: %s: bad ns/op in %q", path, line)
+				return run{}, fmt.Errorf("bad ns/op in %q", line)
 			}
 			if _, seen := r.ns[name]; !seen {
 				r.order = append(r.order, name)
@@ -182,10 +195,10 @@ func load(path string) (run, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return run{}, fmt.Errorf("benchgate: read %s: %w", path, err)
+		return run{}, err
 	}
 	if len(r.ns) == 0 {
-		return run{}, fmt.Errorf("benchgate: %s has no benchmark results", path)
+		return run{}, fmt.Errorf("no benchmark results")
 	}
 	return r, nil
 }
@@ -193,13 +206,35 @@ func load(path string) (run, error) {
 // median returns the median of xs (the mean of the middle two for an
 // even count).
 func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := sorted(xs)
 	mid := len(s) / 2
 	if len(s)%2 == 0 {
 		return (s[mid-1] + s[mid]) / 2
 	}
 	return s[mid]
+}
+
+// spread returns the half-width of an approximate 95% confidence
+// interval for the relative change from the median of base to that of
+// fresh (see the package comment).
+func spread(base, fresh []float64) float64 {
+	return 1.96 * math.Hypot(medianSE(base), medianSE(fresh))
+}
+
+// medianSE estimates the standard error of the median of xs, relative
+// to the median, from the interquartile range (with five samples, the
+// second-largest minus the second-smallest, so one outlier cannot
+// widen it).
+func medianSE(xs []float64) float64 {
+	s := sorted(xs)
+	q := len(s) / 4
+	return 1.2533 * (s[len(s)-1-q] - s[q]) / 1.349 / math.Sqrt(float64(len(s))) / median(s)
+}
+
+func sorted(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
 }
 
 func fatal(err error) {
