@@ -70,13 +70,15 @@ cover:
 	./scripts/coverage_gate.sh coverage.out 80
 
 # Fuzz every decoder that reads disk bytes — graph artifacts, result
-# records, and the cluster arbiter's state and journal — for 15s each.
-# The seed corpora also run under plain go test.
+# records, and the cluster arbiter's state and journal — and the
+# client's SSE reader, which reads network bytes, for 15s each. The
+# seed corpora also run under plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime 15s ./client/
 
 # End-to-end smoke: a coordinator and -cluster-url runners, sweeps
 # drained through leased claims, runners killed mid-sweep, a second

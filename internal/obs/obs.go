@@ -4,20 +4,16 @@
 //
 // The paper's objects of study — coverage growth, frontier size, the
 // extremal positions of a branching walk per generation — are
-// trajectories, not scalars. A Series captures one representative
-// trajectory per job as it is computed: the traced trial appends one
-// Frame per round into a fixed-capacity ring, and any number of readers
-// snapshot the ring without locks, coordination, or perturbing the
-// producer (the xirho pattern: the producer publishes through atomics,
-// readers poll). Old frames are overwritten once the ring wraps; a
-// reader that falls behind loses history, never consistency.
-//
-// Concurrency contract: a Series has at most ONE producer at a time —
-// the Tracer's compare-and-swap slot enforces this across parallel
-// trial workers — and any number of concurrent readers.
+// trajectories, not scalars. A Series keeps the newest frames of the
+// trials a Tracer admits one at a time, by value in a fixed-capacity
+// ring. Concurrency contract: one mutex guards a Series; Append holds
+// it to store one frame, and a reader holds it only while it copies at
+// most Cap frames. A reader that falls behind loses history, never
+// consistency.
 package obs
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -55,24 +51,25 @@ type Frame struct {
 	DurNanos int64 `json:"dur_nanos,omitempty"`
 }
 
-// entry pairs a frame with its absolute sequence index so readers can
-// detect slots overwritten mid-snapshot.
-type entry struct {
-	idx uint64
-	f   Frame
+// slot is a Frame packed into 48 bytes: the counts and positions are
+// bounded by the graph order, whose vertex ids are int32, while a
+// walk's round cap passes 2^32 on large graphs.
+type slot struct {
+	trial, round, dur                 int64
+	coverage                          float64
+	covered, frontier, minPos, maxPos int32
 }
 
-// Series is a single-producer, multi-reader ring of frames. Readers
-// never block the producer: every slot is an atomic pointer, and the
-// head sequence is published after the slot it covers, so a snapshot
-// sees only fully written frames.
+// Series is a ring of the newest Cap frames. The first Append allocates
+// it, so a job that never traces holds none.
 type Series struct {
-	slots []atomic.Pointer[entry]
-	head  atomic.Uint64 // frames ever appended; next frame gets index head
+	capacity int
+	mu       sync.Mutex
+	ring     []slot
+	head     uint64 // frames ever appended; the next frame gets index head
 	// Trial accounting for progress interpolation: frames belonging to
 	// finished traced trials, and the count of finished traced trials.
-	doneFrames atomic.Uint64
-	doneTrials atomic.Uint64
+	doneFrames, doneTrials uint64
 	// sink, when set (before any producer starts), observes every
 	// appended frame — the engine feeds round-duration histograms here.
 	sink func(Frame)
@@ -84,7 +81,7 @@ func NewSeries(capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Series{slots: make([]atomic.Pointer[entry], capacity)}
+	return &Series{capacity: capacity}
 }
 
 // SetSink installs a callback invoked synchronously by the producer for
@@ -93,19 +90,28 @@ func NewSeries(capacity int) *Series {
 func (s *Series) SetSink(fn func(Frame)) { s.sink = fn }
 
 // Cap returns the ring capacity.
-func (s *Series) Cap() int { return len(s.slots) }
+func (s *Series) Cap() int { return s.capacity }
 
 // Frames returns the total number of frames ever appended — the
 // sequence number the next frame will receive.
-func (s *Series) Frames() uint64 { return s.head.Load() }
+func (s *Series) Frames() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.head
+}
 
-// Append publishes one frame. Single producer only: the slot is stored
-// before the head advances, so concurrent readers either see the frame
-// complete or not at all.
+// Append stores one frame, overwriting the oldest once the ring is full.
 func (s *Series) Append(f Frame) {
-	idx := s.head.Load()
-	s.slots[idx%uint64(len(s.slots))].Store(&entry{idx: idx, f: f})
-	s.head.Store(idx + 1)
+	s.mu.Lock()
+	if s.ring == nil {
+		s.ring = make([]slot, s.capacity)
+	}
+	s.ring[s.head%uint64(s.capacity)] = slot{
+		trial: int64(f.Trial), round: int64(f.Round), dur: f.DurNanos, coverage: f.Coverage,
+		covered: int32(f.Covered), frontier: int32(f.Frontier), minPos: int32(f.MinPos), maxPos: int32(f.MaxPos),
+	}
+	s.head++
+	s.mu.Unlock()
 	if s.sink != nil {
 		s.sink(f)
 	}
@@ -116,24 +122,21 @@ func (s *Series) Append(f Frame) {
 // since to read only newer frames). Frames older than the ring
 // capacity are gone; a reader that falls behind skips them.
 func (s *Series) Since(since uint64) ([]Frame, uint64) {
-	head := s.head.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	head := s.head
 	if since >= head {
 		return nil, head
 	}
-	lo := since
-	capacity := uint64(len(s.slots))
-	if head > capacity && lo < head-capacity {
-		lo = head - capacity
-	}
-	out := make([]Frame, 0, head-lo)
-	for i := lo; i < head; i++ {
-		e := s.slots[i%capacity].Load()
-		if e == nil || e.idx != i {
-			// The producer lapped this slot while we were reading:
-			// the frame is lost to this reader, not torn.
-			continue
+	capacity := uint64(s.capacity)
+	lo := max(since, head-min(head, capacity))
+	out := make([]Frame, head-lo)
+	for i := range out {
+		e := &s.ring[(lo+uint64(i))%capacity]
+		out[i] = Frame{
+			Trial: int(e.trial), Round: int(e.round), Covered: int(e.covered), Coverage: e.coverage,
+			Frontier: int(e.frontier), MinPos: int(e.minPos), MaxPos: int(e.maxPos), DurNanos: e.dur,
 		}
-		out = append(out, e.f)
 	}
 	return out, head
 }
@@ -144,8 +147,10 @@ func (s *Series) Snapshot() ([]Frame, uint64) { return s.Since(0) }
 
 // endTrial records the completion of a traced trial; called by Trace.End.
 func (s *Series) endTrial() {
-	s.doneFrames.Store(s.head.Load())
-	s.doneTrials.Add(1)
+	s.mu.Lock()
+	s.doneFrames = s.head
+	s.doneTrials++
+	s.mu.Unlock()
 }
 
 // TrialProgress reports the observation-derived progress hints used to
@@ -153,14 +158,11 @@ func (s *Series) endTrial() {
 // currently traced trial (0 when none is in flight) and the mean
 // rounds per completed traced trial (0 until one finishes).
 func (s *Series) TrialProgress() (inFlight int, meanRounds float64) {
-	head := s.head.Load()
-	done := s.doneFrames.Load()
-	trials := s.doneTrials.Load()
-	if head > done {
-		inFlight = int(head - done)
-	}
-	if trials > 0 {
-		meanRounds = float64(done) / float64(trials)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	inFlight = int(s.head - s.doneFrames)
+	if s.doneTrials > 0 {
+		meanRounds = float64(s.doneFrames) / float64(s.doneTrials)
 	}
 	return inFlight, meanRounds
 }
@@ -183,10 +185,9 @@ type Observer interface {
 	Begin(trial int) Trace
 }
 
-// Tracer is the standard Observer: it traces exactly one trial at a
-// time into a Series, so the series keeps its single-producer contract
-// even when trials run on many workers, and the recorded trajectory is
-// one contiguous representative trial rather than an interleaving.
+// Tracer is the standard Observer: it traces one trial at a time into
+// a Series, so each trial's frames are contiguous even when trials run
+// on many workers.
 type Tracer struct {
 	s    *Series
 	busy atomic.Bool
@@ -240,9 +241,7 @@ func (tr *trace) Round(covered, n, frontier, minPos, maxPos int) {
 }
 
 // End implements Trace: it publishes the trial-complete accounting and
-// releases the tracer for the next trial. The release is an atomic
-// store ordered after every Append this trial made, so the next
-// claimant's appends cannot race them.
+// releases the tracer for the next trial.
 func (tr *trace) End() {
 	tr.t.s.endTrial()
 	tr.t.busy.Store(false)

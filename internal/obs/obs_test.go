@@ -56,16 +56,71 @@ func TestSeriesWrapKeepsNewest(t *testing.T) {
 	}
 }
 
+// TestSeriesDefaultCapacity pins that a series never appended to, as
+// a job that never traces, holds no ring yet reports its capacity.
 func TestSeriesDefaultCapacity(t *testing.T) {
-	if got := NewSeries(0).Cap(); got != DefaultCapacity {
+	s := NewSeries(0)
+	if got := s.Cap(); got != DefaultCapacity {
 		t.Fatalf("Cap() = %d, want %d", got, DefaultCapacity)
+	}
+	if frames, next := s.Snapshot(); s.ring != nil || frames != nil || next != 0 {
+		t.Fatalf("untraced series: ring %d slots, %d frames, next %d; want none", len(s.ring), len(frames), next)
+	}
+	s.Append(Frame{Round: 1})
+	if len(s.ring) != DefaultCapacity {
+		t.Fatalf("first Append allocated %d slots, want %d", len(s.ring), DefaultCapacity)
+	}
+}
+
+// TestSeriesAppendAllocatesNothing pins that frames are stored by
+// value: once the first Append has allocated the ring, appending,
+// wrap included, allocates nothing.
+func TestSeriesAppendAllocatesNothing(t *testing.T) {
+	s := NewSeries(4)
+	s.Append(Frame{})
+	round := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		round++
+		s.Append(Frame{Trial: 1, Round: round, Covered: round, Coverage: 0.5, Frontier: 2, MinPos: -1, MaxPos: -1, DurNanos: 7})
+	}); allocs != 0 {
+		t.Fatalf("Append allocated %v times per call, want 0", allocs)
+	}
+}
+
+// TestSeriesWideFrameRoundTrip pins which fields keep 64 bits in the
+// packed ring: a trial index past 2^31, a round past 2^32 (a walk's
+// round cap passes it on large graphs), the duration and the exact
+// coverage bits all read back unchanged, next to negative positions.
+func TestSeriesWideFrameRoundTrip(t *testing.T) {
+	want := Frame{
+		Trial:    1<<31 + 5,
+		Round:    1<<32 + 7,
+		Covered:  1<<31 - 1,
+		Coverage: 1.0 / 3,
+		Frontier: 123456789,
+		MinPos:   -1,
+		MaxPos:   2147483000,
+		DurNanos: 1<<62 + 11,
+	}
+	s := NewSeries(2)
+	for i := 0; i < 3; i++ {
+		s.Append(want)
+	}
+	frames, next := s.Snapshot()
+	if next != 3 || len(frames) != 2 {
+		t.Fatalf("got %d frames, next %d; want 2, 3", len(frames), next)
+	}
+	for _, got := range frames {
+		if got != want {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+		}
 	}
 }
 
 // TestSeriesConcurrentReaders hammers one producer against many
-// snapshot readers; under -race this pins the lock-free publication
-// protocol, and the assertions pin that readers never observe a torn
-// or out-of-order frame.
+// snapshot readers; under -race this pins that the mutex orders every
+// access, and the assertions pin that readers never observe a torn or
+// out-of-order frame.
 func TestSeriesConcurrentReaders(t *testing.T) {
 	s := NewSeries(32)
 	const frames = 5000
@@ -207,5 +262,17 @@ func TestTraceContext(t *testing.T) {
 	id1, id2 := NewTraceID(), NewTraceID()
 	if id1 == "" || id1 == id2 {
 		t.Fatalf("NewTraceID not unique: %q %q", id1, id2)
+	}
+}
+
+// BenchmarkSeriesAppend measures one traced round's cost to the series:
+// a by-value store into the ring under its mutex, no allocation.
+func BenchmarkSeriesAppend(b *testing.B) {
+	s := NewSeries(0)
+	b.ReportAllocs()
+	round := 0
+	for b.Loop() {
+		round++
+		s.Append(Frame{Trial: 3, Round: round, Covered: round, Coverage: 0.5, Frontier: 9, MinPos: 1, MaxPos: 4, DurNanos: 100})
 	}
 }

@@ -120,3 +120,29 @@ func TestObserverFrames(t *testing.T) {
 		t.Fatalf("TrialProgress = %d, %v; want 0, %v", inFlight, mean, float64(len(frames)))
 	}
 }
+
+// BenchmarkCobraRunTraced measures what observation costs a run: cobra
+// k=2 on grid:2,128 for 16 trials, without an observer and with an
+// obs.Tracer recording into a fresh series per run.
+func BenchmarkCobraRunTraced(b *testing.B) {
+	g := graph.Grid(2, 128)
+	proc, _ := Get("cobra")
+	for _, traced := range []bool{false, true} {
+		name := "plain"
+		if traced {
+			name = "traced"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				run := Run{Graph: g, Params: Params{"k": 2.0}, Trials: 16, Seed: 1}
+				if traced {
+					run.Observer = obs.NewTracer(obs.NewSeries(0))
+				}
+				if _, err := proc.Run(context.Background(), run); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

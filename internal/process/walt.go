@@ -65,21 +65,24 @@ func (w waltProcess) Run(ctx context.Context, r Run) (*Result, error) {
 
 // runWaltTraced replicates walt.Process.CoverTime round for round while
 // reporting one frame per executed round. The frontier is the set of
-// distinct occupied vertices (the pebble population's footprint).
+// distinct occupied vertices (the pebble population's footprint), in
+// first-seen order; each round unmarks only the previous frontier.
 func runWaltTraced(p *walt.Process, tr obs.Trace, n int, depths []int32) (int, bool) {
 	defer tr.End()
-	seen := make(map[int32]struct{}, p.Pebbles())
+	seen := make([]bool, n)
 	var frontier []int32
 	for p.CoveredCount() < n {
 		if p.Steps() >= p.MaxSteps() {
 			return p.Steps(), false
 		}
 		p.Step()
-		clear(seen)
+		for _, v := range frontier {
+			seen[v] = false
+		}
 		frontier = frontier[:0]
 		for _, v := range p.Positions() {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
+			if !seen[v] {
+				seen[v] = true
 				frontier = append(frontier, v)
 			}
 		}
