@@ -70,14 +70,15 @@ cover:
 	./scripts/coverage_gate.sh coverage.out 80
 
 # Fuzz every decoder that reads disk bytes — graph artifacts, result
-# records, and the cluster arbiter's state and journal — and the
-# client's SSE reader, which reads network bytes, for 15s each. The
-# seed corpora also run under plain go test.
+# records, and the cluster arbiter's state and journal — and the two
+# that read network bytes, the submit-spec decoder and the client's SSE
+# reader, for 15s each. The seed corpora also run under plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 15s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 15s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime 15s ./client/
 
 # End-to-end smoke: a coordinator and -cluster-url runners, sweeps
@@ -87,6 +88,7 @@ e2e:
 	./scripts/e2e_smoke.sh
 
 # Docs lint: API routes, error codes, and registered processes must be
-# documented (docs/API.md, README process table).
+# documented (docs/API.md, README process table), and every cmd/
+# directory or Markdown file the docs and Go sources name must exist.
 docs-check:
 	./scripts/docs_check.sh

@@ -352,26 +352,27 @@ func (c *Client) RunSweep(ctx context.Context, spec engine.SweepSpec, onStatus f
 	return c.followResult(ctx, st, onStatus)
 }
 
-// ExecuteSweep runs spec to completion either against a remote daemon
-// (server non-empty: submit over HTTP and follow to the result) or on
-// a throwaway in-process engine. The local engine uses one worker —
-// each sweep point already fans its trials out across every core, so
-// concurrent points would only oversubscribe the CPU — and a queue
-// deep enough to hold the whole fan-out. This is the shared execution
-// path of the batch CLIs (cmd/covertime, cmd/experiments), which must
-// produce identical output either way.
-func ExecuteSweep(ctx context.Context, server string, spec engine.SweepSpec, queueDepth int) (*engine.Output, error) {
+// Execute runs spec to completion: on the cobrad daemon at server when
+// server is non-empty (submit over HTTP and follow to the result), or
+// on a throwaway in-process engine otherwise. The local engine has one
+// worker: a process job already fans its trials out across every core,
+// so concurrent jobs would only oversubscribe the CPU, and a sweep
+// throttles its own fan-out against the queue. A done ctx cancels the
+// local engine's running and queued jobs before Execute returns.
+// cobractl's batch commands (cover, experiments, run) print identical
+// output either way.
+func Execute(ctx context.Context, server string, spec engine.Spec) (*engine.Output, error) {
 	if server != "" {
 		c, err := New(server)
 		if err != nil {
 			return nil, err
 		}
-		out, _, err := c.RunSweep(ctx, spec, nil)
+		out, _, err := c.Run(ctx, spec.Kind(), spec, nil)
 		return out, err
 	}
-	eng := engine.New(engine.Options{Workers: 1, QueueDepth: queueDepth})
-	defer eng.Shutdown(context.Background())
-	return eng.RunSync(ctx, &spec)
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Shutdown(ctx)
+	return eng.RunSync(ctx, spec)
 }
 
 func (c *Client) followResult(ctx context.Context, st engine.Status, onStatus func(engine.Status)) (*engine.Output, engine.Status, error) {

@@ -1,7 +1,6 @@
 // Package client is the typed Go SDK for the cobrad v1 HTTP API: the
-// programmatic face of the simulation service, used by cmd/cobractl
-// and by cmd/covertime / cmd/experiments when pointed at a remote
-// daemon with -server.
+// programmatic face of the simulation service, on which cmd/cobractl is
+// built.
 //
 // Every call takes a context and returns typed values (engine.Status,
 // engine.Output, process.Info, cluster.NodeInfo) rather than raw JSON;
@@ -24,9 +23,9 @@
 //
 // On top sit the convenience loops: Wait (poll to terminal), Run
 // (submit → Follow → Result), RunSweep (the same for sweeps), and
-// ExecuteSweep, the shared batch-CLI path that runs a sweep either
-// against a remote daemon or on a throwaway in-process engine with
-// identical output.
+// Execute, cobractl's batch path, which runs any spec either against a
+// remote daemon or on a throwaway in-process engine with identical
+// output.
 //
 //	c, _ := client.New("http://127.0.0.1:8080")
 //	out, _, err := c.Run(ctx, "process", engine.ProcessSpec{

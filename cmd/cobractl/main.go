@@ -1,12 +1,20 @@
-// Command cobractl is the operator CLI for the cobrad simulation
-// daemon, built entirely on the typed client SDK (package client): what
-// the SDK can do, cobractl exposes on the command line.
+// Command cobractl is the command-line tool of the cobra-walk
+// simulator: batch commands that run a workload to completion and print
+// it, daemon commands built on the typed client SDK (package client),
+// and graph, which inspects one generated graph locally.
 //
 // Usage:
 //
 //	cobractl [-server URL] <command> [flags] [args]
 //
-// Commands:
+// Batch commands (in-process unless a daemon is named):
+//
+//	cover                sweep a family's k-cobra cover times and fit the scaling exponent
+//	experiments          regenerate the paper-reproduction tables E1-E20
+//	run                  run one registered process on one graph and summarize its trials
+//	graph                print a graph's structural and spectral statistics (always local)
+//
+// Daemon commands:
 //
 //	processes            list registered processes with parameter schemas
 //	nodes                list cluster members and their liveness
@@ -21,20 +29,25 @@
 //
 // Examples:
 //
-//	cobractl processes
+//	cobractl cover -family grid:2 -sizes 8,16,32,64 -k 2 -trials 20
+//	cobractl experiments -only E1,E9 -markdown
+//	cobractl run -process cobra -graph lollipop:16,16 -param k=2 -param target=31
+//	cobractl graph -graph powerlaw:5000,2.5 -stats
+//	cobractl graph -graph regular:4096,5 -data-dir /var/lib/cobrad -verify
 //	cobractl submit -process cobra -graph grid:2,33 -trials 20 -seed 1 -param k=2 -watch
 //	cobractl sweep -processes cobra,push-pull -family cycle -sizes 64,128,256 -trials 10 -seed 1 -param k=2 -watch
-//	cobractl ps -status running
-//	cobractl result j000001
 //
-// The server address comes from -server, or the COBRAD_URL environment
-// variable, or http://127.0.0.1:8080. Machine consumers pass -json to
-// any command for raw API payloads.
+// A daemon is named by -server or the COBRAD_URL environment variable.
+// Daemon commands fall back to http://127.0.0.1:8080; batch commands run
+// on a one-worker in-process engine and print the same output either
+// way. Daemon commands take -json for raw API payloads.
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +60,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/process"
@@ -56,74 +70,83 @@ import (
 const defaultServer = "http://127.0.0.1:8080"
 
 func main() {
-	if len(os.Args) < 2 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	// Accept a global -server before the subcommand as well as the
-	// per-command flag, so both orderings read naturally; both the
-	// space-separated and the -server=URL spellings work.
-	args := os.Args[1:]
-	server := ""
-	switch {
-	case args[0] == "-server" || args[0] == "--server":
-		if len(args) < 3 {
-			usage(os.Stderr)
-			os.Exit(2)
-		}
-		server, args = args[1], args[2:]
-	case strings.HasPrefix(args[0], "-server=") || strings.HasPrefix(args[0], "--server="):
-		_, server, _ = strings.Cut(args[0], "=")
-		args = args[1:]
-		if len(args) == 0 {
-			usage(os.Stderr)
-			os.Exit(2)
-		}
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
+	// The first signal cancels the command; stopping the relay then
+	// restores the default action, so a second one kills it outright.
+	context.AfterFunc(ctx, stop)
+	code := cobractl(ctx, os.Args[1:], os.Stdout)
+	stop()
+	os.Exit(code)
+}
 
-	cmd, rest := args[0], args[1:]
-	var err error
-	switch cmd {
-	case "processes":
-		err = cmdProcesses(ctx, server, rest)
-	case "nodes":
-		err = cmdNodes(ctx, server, rest)
-	case "journal":
-		err = cmdJournal(ctx, server, rest)
-	case "submit":
-		err = cmdSubmit(ctx, server, rest)
-	case "sweep":
-		err = cmdSweep(ctx, server, rest)
-	case "watch":
-		err = cmdWatch(ctx, server, rest)
-	case "result":
-		err = cmdResult(ctx, server, rest)
-	case "ps":
-		err = cmdPS(ctx, server, rest)
-	case "cancel":
-		err = cmdCancel(ctx, server, rest)
-	case "help", "-h", "--help":
-		usage(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "cobractl: unknown command %q\n\n", cmd)
+// command is one cobractl subcommand: server is the global -server
+// (empty when not given), and the command's output goes to w.
+type command func(ctx context.Context, server string, args []string, w io.Writer) error
+
+var commands = map[string]command{
+	"cover":       cmdCover,
+	"experiments": cmdExperiments,
+	"run":         cmdRun,
+	"graph":       cmdGraph,
+	"processes":   cmdProcesses,
+	"nodes":       cmdNodes,
+	"journal":     cmdJournal,
+	"submit":      cmdSubmit,
+	"sweep":       cmdSweep,
+	"watch":       cmdWatch,
+	"result":      cmdResult,
+	"ps":          cmdPS,
+	"cancel":      cmdCancel,
+}
+
+// cobractl runs one command line, writing the command's output to
+// stdout, and returns the exit status.
+func cobractl(ctx context.Context, args []string, stdout io.Writer) int {
+	// A global -server may precede the command; flag parsing stops at
+	// the command name.
+	global := flag.NewFlagSet("cobractl", flag.ContinueOnError)
+	global.Usage = func() { usage(os.Stderr) }
+	server := global.String("server", "", "cobrad base URL")
+	switch err := global.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	if global.NArg() == 0 {
 		usage(os.Stderr)
-		os.Exit(2)
+		return 2
 	}
-	if err != nil {
+	name, rest := global.Arg(0), global.Args()[1:]
+	if name == "help" {
+		usage(stdout)
+		return 0
+	}
+	cmd, ok := commands[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "cobractl: unknown command %q\n\n", name)
+		usage(os.Stderr)
+		return 2
+	}
+	if err := cmd(ctx, *server, rest, stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "cobractl: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func usage(w io.Writer) {
-	fmt.Fprint(w, `cobractl — client for the cobrad simulation daemon
+	fmt.Fprint(w, `cobractl — the cobra-walk simulator's command-line tool
 
 usage: cobractl [-server URL] <command> [flags] [args]
 
-commands:
+batch commands (in-process unless a daemon is named):
+  cover                sweep a family's k-cobra cover times (-family/-sizes/-k) and fit the exponent
+  experiments          regenerate the paper-reproduction tables (-only/-scale/-markdown/-list)
+  run                  run one process on one graph (-process/-graph/-param) and summarize its trials
+  graph                print a graph's statistics (-graph/-graph-seed; -dot, -stats, -verify)
+
+daemon commands:
   processes            list registered processes with parameter schemas
   nodes                list cluster members (ID, role, liveness)
   journal              list which node computed each key (the exactly-once ledger)
@@ -134,29 +157,28 @@ commands:
   ps                   list jobs (-status filters)
   cancel <job-id>      cancel a queued or running job
 
-The server address comes from -server, $COBRAD_URL, or `+defaultServer+`.
+A daemon is named by -server or $COBRAD_URL; daemon commands fall back
+to `+defaultServer+`, batch commands run in-process.
 Run "cobractl <command> -h" for command flags.
 `)
 }
 
-// newFlagSet builds a command flagset with the shared -server and -json
-// flags wired in.
-func newFlagSet(name, server string) (*flag.FlagSet, *string, *bool) {
+// flagSet builds a command flagset with the shared -server flag, which
+// defaults to the global -server, then $COBRAD_URL, then fallback.
+func flagSet(name, server, fallback string) (*flag.FlagSet, *string) {
 	fs := flag.NewFlagSet("cobractl "+name, flag.ExitOnError)
-	def := server
-	if def == "" {
-		def = os.Getenv("COBRAD_URL")
+	doc := "cobrad base URL"
+	if fallback == "" {
+		doc += "; empty runs in-process"
 	}
-	if def == "" {
-		def = defaultServer
-	}
-	srv := fs.String("server", def, "cobrad base URL")
-	asJSON := fs.Bool("json", false, "emit raw API JSON instead of rendered text")
-	return fs, srv, asJSON
+	return fs, fs.String("server", cmp.Or(server, os.Getenv("COBRAD_URL"), fallback), doc)
 }
 
-func dial(server string) (*client.Client, error) {
-	return client.New(server)
+// newFlagSet is flagSet for the daemon commands: the server falls back
+// to defaultServer, and -json selects raw API payloads.
+func newFlagSet(name, server string) (*flag.FlagSet, *string, *bool) {
+	fs, srv := flagSet(name, server, defaultServer)
+	return fs, srv, fs.Bool("json", false, "emit raw API JSON instead of rendered text")
 }
 
 // parseFlexible parses fs accepting flags both before and after the
@@ -180,37 +202,50 @@ func parseFlexible(fs *flag.FlagSet, args []string) ([]string, error) {
 // paramFlag collects repeatable -param name=value flags, inferring JSON
 // types the way the schema expects them: numbers and booleans parse as
 // such, everything else stays a string.
-type paramFlag struct{ params process.Params }
+type paramFlag process.Params
 
-func (p *paramFlag) String() string { return fmt.Sprintf("%v", p.params) }
+func (p *paramFlag) String() string { return fmt.Sprintf("%v", map[string]any(*p)) }
 
 func (p *paramFlag) Set(s string) error {
 	name, val, ok := strings.Cut(s, "=")
 	if !ok || name == "" {
 		return fmt.Errorf("expected name=value, got %q", s)
 	}
-	if p.params == nil {
-		p.params = process.Params{}
+	if *p == nil {
+		*p = paramFlag{}
 	}
 	switch {
 	case val == "true" || val == "false":
-		p.params[name] = val == "true"
+		(*p)[name] = val == "true"
 	default:
 		if f, err := strconv.ParseFloat(val, 64); err == nil {
-			p.params[name] = f
+			(*p)[name] = f
 		} else {
-			p.params[name] = val
+			(*p)[name] = val
 		}
 	}
 	return nil
 }
 
-func cmdProcesses(ctx context.Context, server string, args []string) error {
+// specFlags registers the process-spec flags submit and run share on fs,
+// bound to the returned spec.
+func specFlags(fs *flag.FlagSet) *engine.ProcessSpec {
+	spec := &engine.ProcessSpec{}
+	fs.StringVar(&spec.Process, "process", "", "registered process name (see cobractl processes)")
+	fs.StringVar(&spec.Graph, "graph", "", "graph spec, e.g. grid:2,33")
+	fs.Uint64Var(&spec.GraphSeed, "graph-seed", 0, "seed for randomized graph families")
+	fs.Var((*paramFlag)(&spec.Params), "param", "process parameter name=value (repeatable)")
+	fs.IntVar(&spec.Trials, "trials", 20, "independent trials")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "root random seed")
+	return spec
+}
+
+func cmdProcesses(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("processes", server)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -219,10 +254,10 @@ func cmdProcesses(ctx context.Context, server string, args []string) error {
 		return err
 	}
 	if *asJSON {
-		return printJSON(map[string]any{"processes": procs})
+		return printJSON(w, map[string]any{"processes": procs})
 	}
 	for _, p := range procs {
-		fmt.Printf("%s\n    %s\n", p.Name, p.Doc)
+		fmt.Fprintf(w, "%s\n    %s\n", p.Name, p.Doc)
 		for _, ps := range p.Params {
 			attrs := []string{ps.Type}
 			if ps.Required {
@@ -233,19 +268,19 @@ func cmdProcesses(ctx context.Context, server string, args []string) error {
 			if len(ps.Enum) > 0 {
 				attrs = append(attrs, "one of "+strings.Join(ps.Enum, "|"))
 			}
-			fmt.Printf("    -param %-16s %-28s %s\n", ps.Name, "("+strings.Join(attrs, ", ")+")", ps.Doc)
+			fmt.Fprintf(w, "    -param %-16s %-28s %s\n", ps.Name, "("+strings.Join(attrs, ", ")+")", ps.Doc)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func cmdNodes(ctx context.Context, server string, args []string) error {
+func cmdNodes(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("nodes", server)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -254,32 +289,32 @@ func cmdNodes(ctx context.Context, server string, args []string) error {
 		return err
 	}
 	if *asJSON {
-		return printJSON(view)
+		return printJSON(w, view)
 	}
 	if !view.Cluster {
-		fmt.Println("not clustered (single-node daemon)")
+		fmt.Fprintln(w, "not clustered (single-node daemon)")
 		return nil
 	}
-	fmt.Printf("this node: %s (%s)\n", view.Node, view.Role)
-	fmt.Printf("%-24s %-12s %-22s %-6s %s\n", "ID", "ROLE", "ADDR", "ALIVE", "LAST SEEN")
+	fmt.Fprintf(w, "this node: %s (%s)\n", view.Node, view.Role)
+	fmt.Fprintf(w, "%-24s %-12s %-22s %-6s %s\n", "ID", "ROLE", "ADDR", "ALIVE", "LAST SEEN")
 	for _, n := range view.Nodes {
 		addr := n.Addr
 		if addr == "" {
 			addr = "-"
 		}
-		fmt.Printf("%-24s %-12s %-22s %-6v %s\n",
+		fmt.Fprintf(w, "%-24s %-12s %-22s %-6v %s\n",
 			n.ID, n.Role, addr, n.Alive, n.LastSeen.Format(time.RFC3339))
 	}
 	return nil
 }
 
-func cmdJournal(ctx context.Context, server string, args []string) error {
+func cmdJournal(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("journal", server)
 	node := fs.String("node", "", "filter: entries computed by this node")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -297,34 +332,28 @@ func cmdJournal(ctx context.Context, server string, args []string) error {
 		entries = kept
 	}
 	if *asJSON {
-		return printJSON(map[string]any{"entries": entries})
+		return printJSON(w, map[string]any{"entries": entries})
 	}
-	fmt.Printf("%-64s %-24s %s\n", "KEY", "NODE", "COMPUTED")
+	fmt.Fprintf(w, "%-64s %-24s %s\n", "KEY", "NODE", "COMPUTED")
 	for _, e := range entries {
-		fmt.Printf("%-64s %-24s %s\n", e.Key, e.Node, e.CompletedAt.Format(time.RFC3339))
+		fmt.Fprintf(w, "%-64s %-24s %s\n", e.Key, e.Node, e.CompletedAt.Format(time.RFC3339))
 	}
 	return nil
 }
 
-func cmdSubmit(ctx context.Context, server string, args []string) error {
+func cmdSubmit(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("submit", server)
 	var (
-		kind      = fs.String("kind", "process", "job kind: process|experiment|sweep")
-		specJSON  = fs.String("spec", "", "raw spec JSON (@file reads a file, - reads stdin); overrides the convenience flags")
-		proc      = fs.String("process", "", "registered process name (kind=process)")
-		graph     = fs.String("graph", "", "graph spec, e.g. grid:2,33 (kind=process)")
-		graphSeed = fs.Uint64("graph-seed", 0, "seed for randomized graph families")
-		trials    = fs.Int("trials", 20, "independent trials")
-		seed      = fs.Uint64("seed", 1, "root random seed")
-		priority  = fs.Int("priority", 0, "scheduling priority (higher runs first)")
-		watch     = fs.Bool("watch", false, "follow the job to completion and fetch its result")
-		params    paramFlag
+		kind     = fs.String("kind", "process", "job kind: process|experiment|sweep")
+		specJSON = fs.String("spec", "", "raw spec JSON (@file reads a file, - reads stdin); overrides the process-spec flags")
+		priority = fs.Int("priority", 0, "scheduling priority (higher runs first)")
+		watch    = fs.Bool("watch", false, "follow the job to completion and fetch its result")
+		proc     = specFlags(fs)
 	)
-	fs.Var(&params, "param", "process parameter name=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -338,17 +367,10 @@ func cmdSubmit(ctx context.Context, server string, args []string) error {
 		}
 		spec = json.RawMessage(raw)
 	case *kind == "process":
-		if *proc == "" || *graph == "" {
+		if proc.Process == "" || proc.Graph == "" {
 			return fmt.Errorf("submit needs -process and -graph (or -spec); see cobractl processes")
 		}
-		spec = engine.ProcessSpec{
-			Process:   *proc,
-			Graph:     *graph,
-			GraphSeed: *graphSeed,
-			Params:    params.params,
-			Trials:    *trials,
-			Seed:      *seed,
-		}
+		spec = proc
 	default:
 		return fmt.Errorf("kind %q needs -spec with the raw spec JSON", *kind)
 	}
@@ -359,15 +381,15 @@ func cmdSubmit(ctx context.Context, server string, args []string) error {
 	}
 	if !*watch {
 		if *asJSON {
-			return printJSON(map[string]any{"job": st})
+			return printJSON(w, map[string]any{"job": st})
 		}
-		fmt.Printf("submitted %s  kind=%s state=%s cache_hit=%v\n", st.ID, st.Kind, st.State, st.CacheHit)
+		fmt.Fprintf(w, "submitted %s  kind=%s state=%s cache_hit=%v\n", st.ID, st.Kind, st.State, st.CacheHit)
 		return nil
 	}
-	return watchAndRender(ctx, c, st, *asJSON)
+	return watchAndRender(ctx, c, st, *asJSON, w)
 }
 
-func cmdSweep(ctx context.Context, server string, args []string) error {
+func cmdSweep(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("sweep", server)
 	var (
 		specJSON  = fs.String("spec", "", "raw SweepSpec JSON (@file reads a file, - reads stdin); overrides the convenience flags")
@@ -389,7 +411,7 @@ func cmdSweep(ctx context.Context, server string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -407,7 +429,7 @@ func cmdSweep(ctx context.Context, server string, args []string) error {
 	} else {
 		spec := engine.SweepSpec{
 			Child:  *child,
-			Params: params.params,
+			Params: process.Params(params),
 			Trials: *trials,
 			Seed:   *seed,
 			Family: *family,
@@ -416,10 +438,10 @@ func cmdSweep(ctx context.Context, server string, args []string) error {
 		spec.Processes = splitList(*processes)
 		spec.Families = splitList(*families)
 		spec.IDs = splitList(*ids)
-		if spec.Sizes, err = splitInts(*sizes); err != nil {
+		if spec.Sizes, err = cli.ParseSizes(*sizes); err != nil {
 			return fmt.Errorf("-sizes: %w", err)
 		}
-		if spec.Ks, err = splitInts(*ks); err != nil {
+		if spec.Ks, err = cli.ParseSizes(*ks); err != nil {
 			return fmt.Errorf("-ks: %w", err)
 		}
 		if *child == "experiment" {
@@ -432,15 +454,15 @@ func cmdSweep(ctx context.Context, server string, args []string) error {
 	}
 	if !*watch {
 		if *asJSON {
-			return printJSON(map[string]any{"sweep": st})
+			return printJSON(w, map[string]any{"sweep": st})
 		}
-		fmt.Printf("submitted sweep %s  state=%s cache_hit=%v\n", st.ID, st.State, st.CacheHit)
+		fmt.Fprintf(w, "submitted sweep %s  state=%s cache_hit=%v\n", st.ID, st.State, st.CacheHit)
 		return nil
 	}
-	return watchAndRender(ctx, c, st, *asJSON)
+	return watchAndRender(ctx, c, st, *asJSON, w)
 }
 
-func cmdWatch(ctx context.Context, server string, args []string) error {
+func cmdWatch(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("watch", server)
 	live := fs.Bool("live", false, "render live per-round observables (coverage/frontier sparklines) alongside status")
 	pos, err := parseFlexible(fs, args)
@@ -450,7 +472,7 @@ func cmdWatch(ctx context.Context, server string, args []string) error {
 	if len(pos) != 1 {
 		return fmt.Errorf("usage: cobractl watch [-live] <job-id>")
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -460,9 +482,9 @@ func cmdWatch(ctx context.Context, server string, args []string) error {
 	}
 	var final engine.Status
 	if *live {
-		final, err = followLivePrinting(ctx, c, st, *asJSON)
+		final, err = followLivePrinting(ctx, c, st, *asJSON, w)
 	} else {
-		final, err = followPrinting(ctx, c, st, *asJSON)
+		final, err = followPrinting(ctx, c, st, *asJSON, w)
 	}
 	if err != nil {
 		return err
@@ -478,7 +500,7 @@ func cmdWatch(ctx context.Context, server string, args []string) error {
 // coverage and frontier sparklines of the traced trial so far. With
 // asJSON every event (status and frames alike) prints as one raw JSON
 // line.
-func followLivePrinting(ctx context.Context, c *client.Client, st engine.Status, asJSON bool) (engine.Status, error) {
+func followLivePrinting(ctx context.Context, c *client.Client, st engine.Status, asJSON bool, w io.Writer) (engine.Status, error) {
 	const sparkWidth = 40
 	var coverage, frontier []float64
 	trial := -1
@@ -486,7 +508,7 @@ func followLivePrinting(ctx context.Context, c *client.Client, st engine.Status,
 	render := func(s engine.Status) {
 		if asJSON {
 			data, _ := json.Marshal(map[string]any{"status": s})
-			fmt.Println(string(data))
+			fmt.Fprintln(w, string(data))
 			return
 		}
 		line := fmt.Sprintf("%s  state=%s", s.ID, s.State)
@@ -507,7 +529,7 @@ func followLivePrinting(ctx context.Context, c *client.Client, st engine.Status,
 	onFrames := func(frames []obs.Frame) {
 		if asJSON {
 			data, _ := json.Marshal(map[string]any{"frames": frames})
-			fmt.Println(string(data))
+			fmt.Fprintln(w, string(data))
 			return
 		}
 		for _, f := range frames {
@@ -533,7 +555,7 @@ func followLivePrinting(ctx context.Context, c *client.Client, st engine.Status,
 	return c.FollowLive(ctx, st.ID, render, onFrames)
 }
 
-func cmdResult(ctx context.Context, server string, args []string) error {
+func cmdResult(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("result", server)
 	pos, err := parseFlexible(fs, args)
 	if err != nil {
@@ -542,7 +564,7 @@ func cmdResult(ctx context.Context, server string, args []string) error {
 	if len(pos) != 1 {
 		return fmt.Errorf("usage: cobractl result <job-id>")
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -551,19 +573,19 @@ func cmdResult(ctx context.Context, server string, args []string) error {
 		return err
 	}
 	if *asJSON {
-		return printJSON(map[string]any{"job": st, "result": out})
+		return printJSON(w, map[string]any{"job": st, "result": out})
 	}
-	renderOutput(out)
+	renderOutput(w, out)
 	return nil
 }
 
-func cmdPS(ctx context.Context, server string, args []string) error {
+func cmdPS(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("ps", server)
 	status := fs.String("status", "", "filter: queued|running|done|failed|canceled")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -572,9 +594,9 @@ func cmdPS(ctx context.Context, server string, args []string) error {
 		return err
 	}
 	if *asJSON {
-		return printJSON(map[string]any{"jobs": jobs})
+		return printJSON(w, map[string]any{"jobs": jobs})
 	}
-	fmt.Printf("%-9s %-10s %-9s %-10s %-6s %-16s %s\n", "ID", "KIND", "STATE", "PROGRESS", "CACHED", "NODE", "SUBMITTED")
+	fmt.Fprintf(w, "%-9s %-10s %-9s %-10s %-6s %-16s %s\n", "ID", "KIND", "STATE", "PROGRESS", "CACHED", "NODE", "SUBMITTED")
 	for _, j := range jobs {
 		progress := "-"
 		if j.Total > 0 {
@@ -584,13 +606,13 @@ func cmdPS(ctx context.Context, server string, args []string) error {
 		if node == "" {
 			node = "-"
 		}
-		fmt.Printf("%-9s %-10s %-9s %-10s %-6v %-16s %s\n",
+		fmt.Fprintf(w, "%-9s %-10s %-9s %-10s %-6v %-16s %s\n",
 			j.ID, j.Kind, j.State, progress, j.CacheHit, node, j.SubmittedAt.Format(time.RFC3339))
 	}
 	return nil
 }
 
-func cmdCancel(ctx context.Context, server string, args []string) error {
+func cmdCancel(ctx context.Context, server string, args []string, w io.Writer) error {
 	fs, srv, asJSON := newFlagSet("cancel", server)
 	pos, err := parseFlexible(fs, args)
 	if err != nil {
@@ -599,7 +621,7 @@ func cmdCancel(ctx context.Context, server string, args []string) error {
 	if len(pos) != 1 {
 		return fmt.Errorf("usage: cobractl cancel <job-id>")
 	}
-	c, err := dial(*srv)
+	c, err := client.New(*srv)
 	if err != nil {
 		return err
 	}
@@ -608,20 +630,20 @@ func cmdCancel(ctx context.Context, server string, args []string) error {
 		return err
 	}
 	if *asJSON {
-		return printJSON(map[string]any{"id": pos[0], "canceled": canceled})
+		return printJSON(w, map[string]any{"id": pos[0], "canceled": canceled})
 	}
 	if canceled {
-		fmt.Printf("canceled %s\n", pos[0])
+		fmt.Fprintf(w, "canceled %s\n", pos[0])
 	} else {
-		fmt.Printf("%s already terminal\n", pos[0])
+		fmt.Fprintf(w, "%s already terminal\n", pos[0])
 	}
 	return nil
 }
 
 // watchAndRender follows a just-submitted job to its terminal state,
 // then fetches and renders its result: the -watch path of submit/sweep.
-func watchAndRender(ctx context.Context, c *client.Client, st engine.Status, asJSON bool) error {
-	final, err := followPrinting(ctx, c, st, false)
+func watchAndRender(ctx context.Context, c *client.Client, st engine.Status, asJSON bool, w io.Writer) error {
+	final, err := followPrinting(ctx, c, st, false, w)
 	if err != nil {
 		return err
 	}
@@ -633,20 +655,20 @@ func watchAndRender(ctx context.Context, c *client.Client, st engine.Status, asJ
 		return err
 	}
 	if asJSON {
-		return printJSON(map[string]any{"job": final, "result": out})
+		return printJSON(w, map[string]any{"job": final, "result": out})
 	}
-	renderOutput(out)
+	renderOutput(w, out)
 	return nil
 }
 
 // followPrinting streams status updates to stderr (one line per update,
 // or raw JSON lines with asJSON) until the job is terminal.
-func followPrinting(ctx context.Context, c *client.Client, st engine.Status, asJSON bool) (engine.Status, error) {
+func followPrinting(ctx context.Context, c *client.Client, st engine.Status, asJSON bool, w io.Writer) (engine.Status, error) {
 	last := ""
 	onStatus := func(s engine.Status) {
 		if asJSON {
 			data, _ := json.Marshal(s)
-			fmt.Println(string(data))
+			fmt.Fprintln(w, string(data))
 			return
 		}
 		line := fmt.Sprintf("%s  state=%s", s.ID, s.State)
@@ -667,10 +689,10 @@ func followPrinting(ctx context.Context, c *client.Client, st engine.Status, asJ
 
 // renderOutput prints a job output as human text: tables, summary,
 // findings, point count.
-func renderOutput(out *engine.Output) {
+func renderOutput(w io.Writer, out *engine.Output) {
 	for _, tb := range out.Tables {
-		tb.Fprint(os.Stdout)
-		fmt.Println()
+		tb.Fprint(w)
+		fmt.Fprintln(w)
 	}
 	if len(out.Summary) > 0 {
 		keys := make([]string, 0, len(out.Summary))
@@ -679,19 +701,19 @@ func renderOutput(out *engine.Output) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("%-16s %.6g\n", k, out.Summary[k])
+			fmt.Fprintf(w, "%-16s %.6g\n", k, out.Summary[k])
 		}
 	}
 	for _, f := range out.Findings {
-		fmt.Printf("finding: %s\n", f)
+		fmt.Fprintf(w, "finding: %s\n", f)
 	}
 	if len(out.Points) > 0 {
-		fmt.Printf("%d sweep points\n", len(out.Points))
+		fmt.Fprintf(w, "%d sweep points\n", len(out.Points))
 	}
 }
 
-func printJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func printJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
@@ -718,20 +740,4 @@ func splitList(s string) []string {
 		parts[i] = strings.TrimSpace(parts[i])
 	}
 	return parts
-}
-
-func splitInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

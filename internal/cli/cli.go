@@ -1,5 +1,5 @@
-// Package cli provides the shared graph-specification parser and output
-// helpers used by the command-line tools in cmd/.
+// Package cli provides the shared graph-specification parser and list
+// parsing used by cobractl, cobrad's job specs and the sweep fan-out.
 //
 // Graph specifications are compact strings naming a family and its
 // parameters, for example:
@@ -17,7 +17,7 @@
 //	hypercube:10       2^10 vertices
 //	margulis:32        Margulis expander on 32²
 //	circulant:512,1,2  strides {1,2}
-//	regular:1024,5     random 5-regular (uses -seed)
+//	regular:1024,5     random 5-regular (uses the graph seed)
 //	gnp:500,0.02       Erdős–Rényi, connected
 //	powerlaw:1000,2.5  exponent 2.5, degrees [2, √n]
 //	rgg:1000,0.06      random geometric, connected
@@ -33,8 +33,16 @@ import (
 )
 
 // ParseGraph builds the graph described by spec. Random families consume
-// the seed.
-func ParseGraph(spec string, seed uint64) (*graph.Graph, error) {
+// the seed. Every spec string yields a graph or an error, never a panic.
+func ParseGraph(spec string, seed uint64) (g *graph.Graph, err error) {
+	// The generators panic on out-of-range arguments, a precondition
+	// for their in-program callers; a spec arrives from outside the
+	// program (a flag, a submitted job), so report it as an error.
+	defer func() {
+		if p := recover(); p != nil {
+			g, err = nil, fmt.Errorf("cli: graph spec %q: %v", spec, p)
+		}
+	}()
 	name, argStr, found := strings.Cut(spec, ":")
 	var args []string
 	if found && argStr != "" {
@@ -208,8 +216,8 @@ func Families() []string {
 // "grid:2" sweeps the side at dimension 2, "regular:5" sweeps n at
 // degree 5, "lollipop" sweeps n with clique = path = n/2, and the
 // single-parameter families ("cycle", "hypercube", ...) take the size
-// directly. Shared by cmd/covertime and the engine's server-side sweep
-// fan-out, which must expand specs identically.
+// directly. The engine's server-side sweep fan-out expands every
+// family sweep through it.
 func FamilySpec(family string, size int) (string, error) {
 	switch {
 	case family == "cycle", family == "path", family == "star",
@@ -230,8 +238,12 @@ func FamilySpec(family string, size int) (string, error) {
 	}
 }
 
-// ParseSizes parses a comma-separated list of integers ("8,16,32").
+// ParseSizes parses a comma-separated list of integers ("8,16,32"); the
+// empty string is the empty list.
 func ParseSizes(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
@@ -240,9 +252,6 @@ func ParseSizes(s string) ([]int, error) {
 			return nil, fmt.Errorf("cli: bad size %q: %w", p, err)
 		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cli: empty size list")
 	}
 	return out, nil
 }

@@ -4,8 +4,8 @@
 // sweep fan-out, and — when clustered — lease-arbitrated execution
 // shared with every other engine of the cluster.
 //
-// The engine is the single execution core shared by the batch CLIs
-// (cmd/covertime, cmd/experiments) and the cobrad HTTP daemon
+// The engine is the single execution core shared by cobractl's batch
+// commands (cmd/cobractl via client.Execute) and the cobrad HTTP daemon
 // (cmd/cobrad via internal/service).
 //
 // # Jobs and specs
@@ -20,11 +20,12 @@
 // and the spec's canonical JSON.
 //
 // Submit enqueues a job and never blocks on execution; RunSync is the
-// submit-and-wait convenience the CLIs use. Job exposes Wait, Output,
-// Snapshot, and Watch (coalesced status subscriptions that back the
-// service's SSE feed). Terminal jobs are evicted from the job table
-// after Options.JobTTL; their results remain reachable by
-// resubmitting the same spec.
+// submit-and-wait convenience the CLIs use, and runs its job without a
+// tracer, since its caller reads only the output. Job exposes Wait,
+// Output, Snapshot, and Watch (coalesced status subscriptions that back
+// the service's SSE feed). Terminal jobs are evicted from the job table
+// after Options.JobTTL; their results remain reachable by resubmitting
+// the same spec.
 //
 // # Sweeps
 //

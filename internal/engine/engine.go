@@ -379,18 +379,24 @@ func (e *Engine) Submit(spec Spec, priority int) (*Job, error) {
 // spec run, appears in the job status, and tags every log record. Empty
 // trace means untraced (identical to Submit).
 func (e *Engine) SubmitTraced(spec Spec, priority int, trace string) (*Job, error) {
+	return e.submitRoot(spec, priority, trace, false)
+}
+
+// submitRoot routes a top-level submission to the sweep or point path;
+// unobserved runs the job (and a sweep's children) without a tracer.
+func (e *Engine) submitRoot(spec Spec, priority int, trace string, unobserved bool) (*Job, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("engine: nil spec")
 	}
 	if sw, ok := spec.(*SweepSpec); ok {
-		return e.submitSweep(sw, priority, trace)
+		return e.submitSweep(sw, priority, trace, unobserved)
 	}
-	return e.submit(spec, priority, nil, trace)
+	return e.submit(spec, priority, nil, trace, unobserved)
 }
 
 // submit is the point-job submission path; parent links a sweep child to
 // its coordinating sweep job (children inherit the parent's trace).
-func (e *Engine) submit(spec Spec, priority int, parent *Job, trace string) (*Job, error) {
+func (e *Engine) submit(spec Spec, priority int, parent *Job, trace string, unobserved bool) (*Job, error) {
 	if trace == "" && parent != nil {
 		trace = parent.trace
 	}
@@ -437,6 +443,7 @@ func (e *Engine) submit(spec Spec, priority int, parent *Job, trace string) (*Jo
 	}
 	j := e.newJobLocked(spec, priority, fp, trace)
 	j.parent = parent
+	j.unobserved = unobserved
 	heap.Push(&e.pending, j)
 	e.submitted.Add(1)
 	e.cond.Signal()
@@ -481,9 +488,11 @@ func (e *Engine) newJobLocked(spec Spec, priority int, fp, trace string) *Job {
 
 // RunSync submits spec at default priority and blocks until the job
 // finishes or ctx is done. It is the path the batch CLIs use, so the
-// service and CLI workloads share one execution core.
+// service and CLI workloads share one execution core. Its caller wants
+// only the output, so the job runs unobserved: neither it nor a sweep's
+// children record frames, and every trial takes the untraced loop.
 func (e *Engine) RunSync(ctx context.Context, spec Spec) (*Output, error) {
-	j, err := e.Submit(spec, 0)
+	j, err := e.submitRoot(spec, 0, "", true)
 	if err != nil {
 		return nil, err
 	}
@@ -757,6 +766,9 @@ type Job struct {
 	// series records the job's observable frames (one per simulation
 	// round of the traced trial); always non-nil.
 	series *obs.Series
+	// unobserved runs the job without a tracer, so its series stays
+	// empty (RunSync jobs and their sweep children); fixed at submission.
+	unobserved bool
 
 	mu                          sync.Mutex
 	state                       State

@@ -85,7 +85,7 @@ func DecodeSpec(kind string, raw json.RawMessage) (Spec, error) {
 }
 
 // ExperimentSpec runs one registered paper-reproduction experiment
-// (E1-E20) at the given scale: the workload of cmd/experiments.
+// (E1-E20) at the given scale: the workload of cobractl experiments.
 type ExperimentSpec struct {
 	// ID is the experiment identifier, e.g. "E1".
 	ID string `json:"id"`

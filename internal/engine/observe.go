@@ -21,9 +21,9 @@ type ObservableSpec interface {
 }
 
 // runSpec executes j's spec, attaching the job's series tracer when the
-// spec is observable, and counts the execution per process. This is the
-// single point both the plain and the cluster execution paths go
-// through to actually run user work.
+// spec is observable and the job observed, and counts the execution per
+// process. This is the single point both the plain and the cluster
+// execution paths go through to actually run user work.
 func (e *Engine) runSpec(j *Job) (*Output, error) {
 	if e.procRuns != nil {
 		e.procRuns.With(specProcessName(j.spec)).Inc()
@@ -31,7 +31,7 @@ func (e *Engine) runSpec(j *Job) (*Output, error) {
 	// Every spec resolves its graphs through the engine's artifact
 	// store; the per-job wrapper counts the builds the store avoided.
 	ctx := graphstore.WithResolver(j.ctx, &jobResolver{store: e.graphs, job: j})
-	if os, ok := j.spec.(ObservableSpec); ok && j.series != nil {
+	if os, ok := j.spec.(ObservableSpec); ok && !j.unobserved {
 		return os.RunObserved(ctx, j.reportProgress, obs.NewTracer(j.series))
 	}
 	return j.spec.Run(ctx, j.reportProgress)

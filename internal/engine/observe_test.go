@@ -56,6 +56,53 @@ func TestJobSeriesRecordsFrames(t *testing.T) {
 	}
 }
 
+// TestRunSyncRunsUnobserved checks that RunSync, whose caller reads only
+// the output, attaches no tracer: neither a point job nor a sweep's
+// children record frames, and the values equal an observed run's.
+func TestRunSyncRunsUnobserved(t *testing.T) {
+	spec := &ProcessSpec{
+		Process: "cobra",
+		Graph:   "regular:64,4",
+		Params:  map[string]any{"k": 2.0},
+		Trials:  3,
+		Seed:    42,
+	}
+	observed := New(Options{Workers: 2})
+	defer shutdown(t, observed)
+	job, err := observed.Submit(spec, 0)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	want, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+
+	e := New(Options{Workers: 2})
+	defer shutdown(t, e)
+	got, err := e.RunSync(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !reflect.DeepEqual(got.Values, want.Values) {
+		t.Fatalf("unobserved values %v, observed %v", got.Values, want.Values)
+	}
+	if _, err := e.RunSync(context.Background(), &SweepSpec{
+		Child: "process", Process: "cobra", Family: "cycle", Sizes: []int{16, 24}, K: 2, Trials: 2, Seed: 1,
+	}); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	jobs := e.Jobs()
+	if len(jobs) != 4 {
+		t.Fatalf("%d jobs, want the point, the sweep and its two children", len(jobs))
+	}
+	for _, j := range jobs {
+		if n := j.Series().Frames(); n != 0 {
+			t.Errorf("job %s (%s) recorded %d frames", j.ID(), j.spec.Kind(), n)
+		}
+	}
+}
+
 // TestSubmitTracedPropagatesTrace checks that a trace ID stamped at
 // submission shows up in the job's status and is inherited by sweep
 // children.

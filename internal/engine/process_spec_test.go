@@ -31,10 +31,10 @@ func TestProcessSpecValidate(t *testing.T) {
 	}
 }
 
-// TestCobraSweepGolden pins the cobra sweep that cmd/covertime submits:
+// TestCobraSweepGolden pins the cobra sweep that cobractl cover submits:
 // per-point Values and fingerprints. The Values were recorded from the
-// retired "covertime" sweep child, which ran this grid point for point,
-// so cmd/covertime's numbers carry over unchanged; the fingerprints pin
+// retired cover-time sweep child, which ran this grid point for point,
+// so the cover-time numbers carry over unchanged; the fingerprints pin
 // the cache addresses of stored process sweeps.
 func TestCobraSweepGolden(t *testing.T) {
 	e := New(Options{Workers: 2})
@@ -64,10 +64,11 @@ func TestCobraSweepGolden(t *testing.T) {
 		}
 	}
 
-	// The address of cmd/covertime's default sweep.
+	// The address of the sweep behind cobractl cover's grid golden
+	// (cmd/cobractl/testdata/cover_grid.txt).
 	cli := &SweepSpec{Child: "process", Process: "cobra", Family: "grid:2", Sizes: []int{8, 16, 32}, K: 2, Trials: 10, Seed: 1}
 	if got, want := Fingerprint(cli), "5c0387dbb4b0c895f451b8da38615d79684810307328473f4f10bd1684645460"; got != want {
-		t.Errorf("cmd/covertime sweep fingerprint drifted:\n got %s\nwant %s", got, want)
+		t.Errorf("cobractl cover sweep fingerprint drifted:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 // size index si uses graph-seed stream 9000+si, and the flat point
 // index p (processes × families × ks × sizes, sizes fastest) uses
 // trial-seed stream p. A single-family, single-k cobra sweep therefore
-// reproduces, byte for byte, what cmd/covertime computed before sweeps
-// moved server-side.
+// reproduces, byte for byte, what the client-side cover-time loop
+// computed before sweeps moved server-side.
 type SweepSpec struct {
 	// Child is the child job kind: "process" or "experiment".
 	Child string `json:"child"`
@@ -270,7 +270,7 @@ const sweepProgressUnit = 1000
 // throttles against the bounded queue: a sweep larger than the free
 // queue depth submits its remaining points as slots free up instead of
 // failing with ErrQueueFull.
-func (e *Engine) submitSweep(spec *SweepSpec, priority int, trace string) (*Job, error) {
+func (e *Engine) submitSweep(spec *SweepSpec, priority int, trace string, unobserved bool) (*Job, error) {
 	pts, err := spec.points()
 	if err != nil {
 		return nil, err
@@ -317,6 +317,7 @@ func (e *Engine) submitSweep(spec *SweepSpec, priority int, trace string) (*Job,
 		return j, nil
 	}
 	parent := e.newJobLocked(spec, priority, fp, trace)
+	parent.unobserved = unobserved
 	// The parent is never queued: its coordinator starts immediately, so
 	// it is Running from birth. This matters for Cancel, which finishes
 	// Queued jobs directly — a sweep must instead be torn down by its
@@ -422,7 +423,7 @@ submitLoop:
 			if canceled || firstErr != nil {
 				break submitLoop
 			}
-			child, err := e.submit(pt.spec, parent.priority, parent, "")
+			child, err := e.submit(pt.spec, parent.priority, parent, "", parent.unobserved)
 			if err == nil {
 				parent.mu.Lock()
 				parent.children = append(parent.children, child)
@@ -598,7 +599,7 @@ func aggregateSweep(spec *SweepSpec, pts []sweepPoint, children []*Job) (*Output
 
 // processSweepTables renders one table per (process, family, k) slice
 // of a process sweep, rows ordered by size — the server-side counterpart
-// of the table cmd/covertime used to assemble client-side.
+// of the table cobractl cover assembles client-side.
 func processSweepTables(points []SweepPointResult) []*sim.Table {
 	type slice struct {
 		process string

@@ -6,8 +6,8 @@
 // ratios) whose shape the paper's theory predicts.
 //
 // Every experiment takes a Scale (Quick for CI-sized runs, Full for the
-// EXPERIMENTS.md numbers) and a root seed, and is deterministic given
-// both.
+// full-size tables of cobractl experiments -scale full) and a root
+// seed, and is deterministic given both.
 package experiments
 
 import (
@@ -62,7 +62,8 @@ type Scale int
 const (
 	// Quick runs in seconds; used by tests and benchmarks.
 	Quick Scale = iota
-	// Full runs the EXPERIMENTS.md configuration (minutes).
+	// Full runs the full-size configuration (minutes), as cobractl
+	// experiments -scale full does.
 	Full
 )
 

@@ -180,7 +180,7 @@ func VerifyBinary(data []byte) error {
 }
 
 // BinaryDigest verifies data and returns the hex payload SHA-256 — the
-// digest graphinfo -verify prints.
+// digest cobractl graph -verify prints.
 func BinaryDigest(data []byte) (string, error) {
 	if err := VerifyBinary(data); err != nil {
 		return "", err

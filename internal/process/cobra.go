@@ -14,14 +14,15 @@ import (
 func init() {
 	Register(cobraProcess{base{
 		name: "cobra",
-		doc:  "k-cobra walk: rounds for the coalescing-branching walk to cover the graph (or a coverage fraction)",
+		doc:  "k-cobra walk: rounds for the coalescing-branching walk to cover the graph (or a coverage fraction, or to hit a target vertex)",
 		params: []ParamSpec{
 			{Name: "k", Type: "int", Required: true, Min: limit(1), Doc: "branching factor: neighbors sampled per active vertex per round"},
 			{Name: "cover_fraction", Type: "float", Default: 1.0, Min: limit(0), Max: limit(1), Doc: "coverage target in (0,1]; 1 = full cover"},
+			{Name: "target", Type: "int", Min: limit(0), Doc: "when set, trials measure rounds until this vertex is first active (hitting time); excludes cover_fraction"},
 			{Name: "max_steps", Type: "int", Default: 0, Min: limit(0), Doc: "per-trial round cap; 0 selects the core default"},
 			{Name: "start", Type: "int", Default: 0, Min: limit(0), Doc: "start vertex"},
 		},
-		results: uniformResults("per-trial rounds to reach the coverage target",
+		results: uniformResults("per-trial rounds to reach the coverage target, or to hit target when set",
 			ResultField{Name: "messages_mean", Kind: "summary", Doc: "mean neighbor samples drawn per trial"}),
 	}})
 	Register(generalProcess{base{
@@ -42,16 +43,20 @@ func init() {
 
 // cobraProcess adapts core.Walk to the Process contract: one pooled Walk
 // per worker, SetRand + Reset per trial, so every trial's draw sequence
-// is that of a freshly built walk on the trial's stream. cmd/covertime
-// runs its sweeps through this process.
+// is that of a freshly built walk on the trial's stream. cobractl's
+// cover sweeps run through this process.
 type cobraProcess struct{ base }
 
 func (c cobraProcess) Validate(p Params) error {
 	if err := CheckParams(c.params, p); err != nil {
 		return err
 	}
-	if f, ok := p["cover_fraction"].(float64); ok && f == 0 {
+	f, hasFrac := p["cover_fraction"].(float64)
+	if hasFrac && f == 0 {
 		return fmt.Errorf("process: cobra: cover_fraction must be in (0, 1]")
+	}
+	if _, hasTarget := p["target"]; hasTarget && hasFrac {
+		return fmt.Errorf("process: cobra: target and cover_fraction are exclusive")
 	}
 	return nil
 }
@@ -61,8 +66,13 @@ func (c cobraProcess) Run(ctx context.Context, r Run) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	target, hit, err := optionalTarget(r)
+	if err != nil {
+		return nil, err
+	}
 	k := r.Params.Int("k", 1)
 	frac := r.Params.Float("cover_fraction", 1)
+	n := r.Graph.N()
 	depths := depthMap(r, start)
 	messages := make([]float64, r.Trials)
 	r.progress()(0, r.Trials)
@@ -72,17 +82,22 @@ func (c cobraProcess) Run(ctx context.Context, r Run) (*Result, error) {
 				K:        k,
 				MaxSteps: r.Params.Int("max_steps", 0),
 			}, rng.New(0))
+			// RunUntilCoveredFraction's count; n when frac is 1.
+			done := stopRule(w, max(int(frac*float64(n)), 1), target, hit)
 			var frontier []int32 // traced-trial scratch
 			return func(trial int, src *rng.Source) (float64, error) {
 				w.SetRand(src)
 				w.Reset(start)
 				var steps int
 				var ok bool
-				if tr := r.observe(trial); tr != nil {
-					steps, ok, frontier = runCobraTraced(w, tr, r.Graph.N(), frac, depths, frontier)
-				} else if frac == 1 {
+				switch tr := r.observe(trial); {
+				case tr != nil:
+					steps, ok, frontier = runCobraTraced(w, tr, n, done, depths, frontier)
+				case hit:
+					steps, ok = w.RunUntilHit(target)
+				case frac == 1:
 					steps, ok = w.RunUntilCovered()
-				} else {
+				default:
 					steps, ok = w.RunUntilCoveredFraction(frac)
 				}
 				if !ok {
@@ -101,20 +116,14 @@ func (c cobraProcess) Run(ctx context.Context, r Run) (*Result, error) {
 	return &Result{Values: values, Summary: summary}, nil
 }
 
-// runCobraTraced replicates Walk.RunUntilCovered / RunUntilCoveredFraction
-// round for round — identical loop conditions, so identical draw
-// sequence and return values — while reporting one frame per executed
-// round to tr. The scratch slice is returned for reuse across trials.
-func runCobraTraced(w *core.Walk, tr obs.Trace, n int, frac float64, depths, scratch []int32) (int, bool, []int32) {
+// runCobraTraced replicates Walk.RunUntilHit / RunUntilCovered /
+// RunUntilCoveredFraction round for round — done is the same loop
+// condition (see stopRule), so the draw sequence and return values are
+// identical — while reporting one frame per executed round to tr. The
+// scratch slice is returned for reuse across trials.
+func runCobraTraced(w *core.Walk, tr obs.Trace, n int, done func() bool, depths, scratch []int32) (int, bool, []int32) {
 	defer tr.End()
-	want := n
-	if frac != 1 {
-		want = int(frac * float64(n))
-		if want < 1 {
-			want = 1
-		}
-	}
-	for w.CoveredCount() < want {
+	for !done() {
 		if w.Steps() >= w.MaxSteps() {
 			return w.Steps(), false, scratch
 		}
@@ -155,11 +164,13 @@ func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
 		}
 	}()
 	maxSteps := r.Params.Int("max_steps", 0)
+	n := r.Graph.N()
 	depths := depthMap(r, start)
 	r.progress()(0, r.Trials)
 	values, err := sim.RunTrialsPooledContext(ctx, r.Trials, r.Seed,
 		func() sim.TrialFunc {
 			w := core.NewGeneral(r.Graph, branch, maxSteps, rng.New(0))
+			done := stopRule(w, n, 0, false)
 			var frontier []int32 // traced-trial scratch
 			return func(trial int, src *rng.Source) (float64, error) {
 				w.SetRand(src)
@@ -167,7 +178,7 @@ func (g generalProcess) Run(ctx context.Context, r Run) (*Result, error) {
 				var steps int
 				var ok bool
 				if tr := r.observe(trial); tr != nil {
-					steps, ok, frontier = runCobraTraced(w, tr, r.Graph.N(), 1, depths, frontier)
+					steps, ok, frontier = runCobraTraced(w, tr, n, done, depths, frontier)
 				} else {
 					steps, ok = w.RunUntilCovered()
 				}

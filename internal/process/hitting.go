@@ -37,12 +37,36 @@ func init() {
 }
 
 // targetVertex resolves the shared "target" parameter against a graph.
-func targetVertex(r Run) (int32, error) {
-	target := int32(r.Params.Int("target", 0))
-	if target < 0 || int(target) >= r.Graph.N() {
-		return 0, fmt.Errorf("process: target vertex %d outside graph %s", target, r.Graph)
+func targetVertex(r Run) (int32, error) { return vertexParam(r, "target") }
+
+// optionalTarget resolves the optional "target" parameter of the
+// processes that measure cover unless it is set (cobra and walt); hit
+// reports whether it is.
+func optionalTarget(r Run) (target int32, hit bool, err error) {
+	if _, hit = r.Params["target"]; !hit {
+		return 0, false, nil
 	}
-	return target, nil
+	target, err = targetVertex(r)
+	return target, hit, err
+}
+
+// coverState is what a stop rule reads of a running process;
+// core.Walk and walt.Process both provide it.
+type coverState interface {
+	CoveredCount() int
+	Covered(v int32) bool
+}
+
+// stopRule returns the condition that ends a trial: target covered when
+// hit is set, else at least want vertices covered. It is the loop
+// condition of the untraced runners (RunUntilHit and HittingTime;
+// RunUntilCovered, RunUntilCoveredFraction and CoverTime), which a
+// traced loop must share to stop on the same round.
+func stopRule(s coverState, want int, target int32, hit bool) func() bool {
+	if hit {
+		return func() bool { return s.Covered(target) }
+	}
+	return func() bool { return s.CoveredCount() >= want }
 }
 
 // biasedWalkProcess runs the §5.1 biased walks: a greedy

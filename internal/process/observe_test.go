@@ -26,11 +26,13 @@ func TestObserverDrawNeutral(t *testing.T) {
 	}{
 		{"cobra", Params{"k": 2.0}},
 		{"cobra", Params{"k": 2.0, "cover_fraction": 0.5}},
+		{"cobra", Params{"k": 2.0, "target": 17.0}},
 		{"general", Params{"k": 2.0, "branching": "bernoulli", "p": 0.3}},
 		{"sis", Params{"k": 2.0, "beta": 0.8, "gamma": 0.9, "max_steps": 5000.0}},
 		{"push", Params{}},
 		{"pull", Params{}},
 		{"walt", Params{"pebbles": 8.0}},
+		{"walt", Params{"pebbles": 8.0, "target": 17.0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.proc, func(t *testing.T) {

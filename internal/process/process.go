@@ -317,12 +317,17 @@ func (b base) ResultSpecs() []ResultField { return append([]ResultField(nil), b.
 func (b base) Validate(p Params) error    { return CheckParams(b.params, p) }
 
 // startVertex resolves the shared "start" parameter against a graph.
-func startVertex(r Run) (int32, error) {
-	start := int32(r.Params.Int("start", 0))
-	if start < 0 || int(start) >= r.Graph.N() {
-		return 0, fmt.Errorf("process: start vertex %d outside graph %s", start, r.Graph)
+func startVertex(r Run) (int32, error) { return vertexParam(r, "start") }
+
+// vertexParam resolves the named vertex parameter against a graph. The
+// range check runs before the narrowing to int32, so a value such as
+// 2^32+3 cannot wrap into the graph.
+func vertexParam(r Run, name string) (int32, error) {
+	v := r.Params.Int(name, 0)
+	if v < 0 || v >= r.Graph.N() {
+		return 0, fmt.Errorf("process: %s vertex %d outside graph %s", name, v, r.Graph)
 	}
-	return start, nil
+	return int32(v), nil
 }
 
 // uniformSummary builds the summary scalars every process shares.

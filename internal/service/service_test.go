@@ -292,6 +292,33 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBadGraphSpecFailsTheJob pins that a graph spec its generator
+// refuses ends the job failed, or is refused with 400, instead of
+// panicking an engine worker and taking the daemon down; the sweep route
+// reaches the same generator through the family expansion.
+func TestBadGraphSpecFailsTheJob(t *testing.T) {
+	ts, _ := newTestServer(t, engine.Options{Workers: 1})
+	cases := []struct{ path, envelope, body string }{
+		{"/v1/jobs", "job", `{"kind":"process","spec":{"process":"cobra","graph":"cycle:0","params":{"k":2},"trials":1,"seed":1}}`},
+		{"/v1/sweeps", "sweep", `{"spec":{"child":"process","process":"cobra","family":"cycle","sizes":[2],"k":2,"trials":1,"seed":1}}`},
+	}
+	for _, c := range cases {
+		var env map[string]engine.Status
+		switch code := doJSON(t, "POST", ts.URL+c.path, c.body, &env); code {
+		case http.StatusBadRequest:
+		case http.StatusAccepted:
+			if final := pollUntilDone(t, ts, env[c.envelope].ID); final.State != engine.Failed {
+				t.Errorf("%s: state = %s, want failed", c.path, final.State)
+			}
+		default:
+			t.Errorf("%s: status = %d, want 202 or 400", c.path, code)
+		}
+	}
+	if code := doJSON(t, "GET", ts.URL+"/healthz", "", &map[string]any{}); code != http.StatusOK {
+		t.Fatalf("healthz status = %d after bad graph specs, want 200", code)
+	}
+}
+
 // TestProcessesDiscovery pins the v1 discovery contract: at least 8
 // registered processes, each with a name, a doc line, and a parameter
 // schema the client can validate against.

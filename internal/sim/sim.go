@@ -1,8 +1,8 @@
 // Package sim provides the Monte Carlo experiment harness: a parallel
 // trial runner with deterministic per-trial random streams, sweep
 // helpers, and result tables rendered as aligned text, Markdown, or CSV.
-// Every experiment in cmd/experiments and bench_test.go is built on this
-// package.
+// Every experiment of cobractl experiments and bench_test.go is built on
+// this package.
 package sim
 
 import (

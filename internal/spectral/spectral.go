@@ -20,7 +20,7 @@ type Result struct {
 }
 
 // Analyze computes eigenvalue and conductance estimates for g. It is the
-// one-call entry point used by cmd/graphinfo and the experiments.
+// one-call entry point used by cobractl graph and the experiments.
 func Analyze(g *graph.Graph) Result {
 	l2 := Lambda2(g, 1e-10, 10000)
 	gap := 1 - l2

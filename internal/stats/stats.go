@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics, confidence intervals,
 // and scaling-law fits used to turn raw Monte Carlo trial data into the
-// experiment tables of EXPERIMENTS.md.
+// experiment tables that cobractl experiments prints.
 package stats
 
 import (

@@ -25,8 +25,8 @@ type Limits struct {
 // removes it. A write stages for milliseconds, so an older file is a
 // crashed writer's leftover; a younger one may be the in-flight write of
 // another process using the same directory (a live daemon, while a
-// refused second coordinator or graphinfo opens it), which must reach
-// its rename.
+// refused second coordinator or cobractl graph opens it), which must
+// reach its rename.
 const staleStaging = time.Hour
 
 // entry is the in-memory accounting for one file: what GC needs to pick

@@ -143,6 +143,9 @@ func (p *Process) Steps() int { return p.steps }
 // CoveredCount returns the number of distinct vertices visited.
 func (p *Process) CoveredCount() int { return p.nCovered }
 
+// Covered reports whether a pebble has visited v.
+func (p *Process) Covered(v int32) bool { return p.covered.Contains(int(v)) }
+
 // Positions returns the current pebble positions; the slice aliases
 // internal state and must not be modified. After a dense round, pebble
 // identities are exchangeable: positions are materialized in ascending

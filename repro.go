@@ -14,7 +14,7 @@
 //   - baseline processes (simple/lazy/parallel random walks, push and
 //     push-pull gossip), and
 //   - the experiment harness that regenerates every theorem-validation
-//     table in EXPERIMENTS.md.
+//     table (cobractl experiments -scale full).
 //
 // Quickstart:
 //
