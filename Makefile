@@ -70,9 +70,10 @@ cover:
 	./scripts/coverage_gate.sh coverage.out 80
 
 # Fuzz every decoder that reads disk bytes — graph artifacts, result
-# records, and the cluster arbiter's state and journal — and the two
-# that read network bytes, the submit-spec decoder and the client's SSE
-# reader, for 15s each. The seed corpora also run under plain go test.
+# records, and the cluster arbiter's state and journal — the two that
+# read network bytes, the submit-spec decoder and the client's SSE
+# reader, and the packed frame series a finished job keeps, for 15s
+# each. The seed corpora also run under plain go test.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 15s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 15s ./internal/store/
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJournal$$' -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 15s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime 15s ./client/
+	$(GO) test -run '^$$' -fuzz '^FuzzSeriesSeal$$' -fuzztime 15s ./internal/obs/
 
 # End-to-end smoke: a coordinator and -cluster-url runners, sweeps
 # drained through leased claims, runners killed mid-sweep, a second

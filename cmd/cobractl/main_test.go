@@ -142,6 +142,18 @@ func TestCoverRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
+// TestCoverRefusesSizesBelowOne pins that a size below 1 is refused
+// when the sweep is validated, before any point runs.
+func TestCoverRefusesSizesBelowOne(t *testing.T) {
+	t.Setenv("COBRAD_URL", "")
+	for _, sizes := range []string{"-8", "-8,16", "0"} {
+		err := cmdCover(context.Background(), "", []string{"-family", "cycle", "-sizes", sizes}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "sizes start at 1") {
+			t.Errorf("cover -sizes %s: %v, want the size refused", sizes, err)
+		}
+	}
+}
+
 // TestBatchCommandsStopOnCancel holds the in-process batch commands to
 // their context: canceled mid-run, cobractl returns promptly with an
 // error instead of finishing the workload (minutes of trials here).

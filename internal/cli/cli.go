@@ -217,8 +217,12 @@ func Families() []string {
 // degree 5, "lollipop" sweeps n with clique = path = n/2, and the
 // single-parameter families ("cycle", "hypercube", ...) take the size
 // directly. The engine's server-side sweep fan-out expands every
-// family sweep through it.
+// family sweep through it. A size below 1 is refused; a size too small
+// for its family fails when the graph spec is parsed.
 func FamilySpec(family string, size int) (string, error) {
+	if size < 1 {
+		return "", fmt.Errorf("cli: family %q size %d: sizes start at 1", family, size)
+	}
 	switch {
 	case family == "cycle", family == "path", family == "star",
 		family == "complete", family == "hypercube", family == "margulis":

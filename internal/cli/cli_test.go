@@ -101,13 +101,20 @@ func TestParseGraphOutOfRange(t *testing.T) {
 }
 
 // TestFamilySpecOutOfRange is the sweep route to the same generators: a
-// family expanded at a size too small for it must fail to parse.
+// family expanded at a size too small for it must fail to parse, and a
+// size below 1 is refused before any graph spec is formed.
 func TestFamilySpecOutOfRange(t *testing.T) {
 	for _, c := range []struct {
 		family string
 		size   int
-	}{{"cycle", 2}, {"lollipop", 2}, {"grid:2", 1}, {"torus:2", 2}, {"regular:5", 3}, {"hypercube", 0}} {
+	}{{"cycle", 2}, {"lollipop", 2}, {"grid:2", 1}, {"torus:2", 2}, {"regular:5", 3}, {"hypercube", 0}, {"cycle", -8}, {"grid:2", 0}} {
 		spec, err := FamilySpec(c.family, c.size)
+		if c.size < 1 {
+			if err == nil {
+				t.Errorf("FamilySpec(%q, %d) = %q, want an error", c.family, c.size, spec)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("FamilySpec(%q, %d): %v", c.family, c.size, err)
 		}

@@ -114,17 +114,9 @@ func (e *Engine) requeue(j *Job) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	j.mu.Lock()
-	terminal := j.state.Terminal()
-	if !terminal {
-		j.state = Queued
-		j.notifyLocked()
-	}
+	j.state = Queued
+	j.notifyLocked()
 	j.mu.Unlock()
-	if terminal {
-		// Cancel won while the worker was rotating the job; it is
-		// already finished.
-		return
-	}
 	e.seq++
 	j.seq = e.seq
 	heap.Push(&e.pending, j)

@@ -23,9 +23,11 @@
 // submit-and-wait convenience the CLIs use, and runs its job without a
 // tracer, since its caller reads only the output. Job exposes Wait,
 // Output, Snapshot, and Watch (coalesced status subscriptions that back
-// the service's SSE feed). Terminal jobs are evicted from the job table
-// after Options.JobTTL; their results remain reachable by resubmitting
-// the same spec.
+// the service's SSE feed). A finishing job seals its frame series, so a
+// terminal job keeps its frames packed instead of the ring they were
+// recorded into. Terminal jobs are evicted from the job table after
+// Options.JobTTL; their results remain reachable by resubmitting the
+// same spec.
 //
 // # Sweeps
 //

@@ -160,6 +160,9 @@ type Metrics struct {
 	CacheCap     int `json:"cache_cap"`
 	Jobs         int `json:"jobs"`
 	StoreEntries int `json:"store_entries"`
+	// SeriesBytes is the bytes of packed frames that finished jobs
+	// still in the job table hold; running jobs' rings are not counted.
+	SeriesBytes int `json:"series_bytes"`
 }
 
 // Engine schedules Spec jobs onto a bounded worker pool.
@@ -184,6 +187,7 @@ type Engine struct {
 	submitted, completed, failed, canceled, cacheHits, rejected atomic.Int64
 	storeHits, storeErrors, evicted                             atomic.Int64
 	computed, adopted, leaseWaits                               atomic.Int64
+	seriesBytes                                                 atomic.Int64
 
 	graphs *graphstore.Store
 
@@ -295,6 +299,9 @@ func (e *Engine) evictExpired(now time.Time) int {
 		if expired(j) {
 			delete(e.jobs, j.id)
 			evicted++
+			j.mu.Lock()
+			e.seriesBytes.Add(-int64(j.seriesBytes))
+			j.mu.Unlock()
 		} else {
 			kept = append(kept, j)
 		}
@@ -514,9 +521,11 @@ func (e *Engine) Jobs() []*Job {
 	return append([]*Job(nil), e.order...)
 }
 
-// Cancel cancels the job with the given id. A queued job is removed from
-// the queue and finishes immediately; a running job is signalled through
-// its context and finishes when its Spec observes the cancellation.
+// Cancel cancels the job with the given id. A job still in the queue is
+// removed from it and finishes immediately. Any other job is signalled
+// through its context: a worker that has popped it finishes it without
+// running its spec, and a running spec finishes when it observes the
+// cancellation. So a job finishes only once nothing runs for it.
 // Cancel reports whether the job exists and was not already terminal.
 func (e *Engine) Cancel(id string) bool {
 	e.mu.Lock()
@@ -527,18 +536,18 @@ func (e *Engine) Cancel(id string) bool {
 	}
 	j.mu.Lock()
 	terminal := j.state.Terminal()
-	queued := j.state == Queued
 	j.mu.Unlock()
 	if terminal {
 		e.mu.Unlock()
 		return false
 	}
-	if queued && j.heapIndex >= 0 {
+	dequeued := j.heapIndex >= 0
+	if dequeued {
 		heap.Remove(&e.pending, j.heapIndex)
 	}
 	e.mu.Unlock()
 	j.cancel()
-	if queued {
+	if dequeued {
 		e.finishJob(j, nil, context.Canceled)
 	}
 	return true
@@ -614,6 +623,7 @@ func (e *Engine) Metrics() Metrics {
 		CacheCap:     e.opts.CacheSize,
 		Jobs:         tracked,
 		StoreEntries: storeEntries,
+		SeriesBytes:  int(e.seriesBytes.Load()),
 	}
 }
 
@@ -643,20 +653,15 @@ func (e *Engine) worker() {
 	}
 }
 
-// runJob executes one job to a terminal state.
+// runJob executes one job, which a worker has popped from the queue, to
+// a terminal state. The job is the worker's alone to finish: Cancel
+// finishes only jobs it removes from the queue.
 func (e *Engine) runJob(j *Job) {
 	if j.ctx.Err() != nil {
 		e.finishJob(j, nil, context.Canceled)
 		return
 	}
 	j.mu.Lock()
-	if j.state.Terminal() {
-		// Cancel won the race between heap pop and this transition and
-		// has already finished the job; running it would double-close
-		// done.
-		j.mu.Unlock()
-		return
-	}
 	j.state = Running
 	j.started = time.Now()
 	j.notifyLocked()
@@ -674,9 +679,10 @@ func (e *Engine) runJob(j *Job) {
 	e.finishJob(j, out, err)
 }
 
-// finishJob moves j to its terminal state, updates counters, and caches
-// successful outputs. Watchers hear of the terminal state only once the
-// output is published.
+// finishJob moves j to its terminal state, seals its series, updates
+// counters, and caches successful outputs. Watchers hear of the
+// terminal state only once the output is published. Nothing may run
+// for j any more: its series takes no frames after the seal.
 func (e *Engine) finishJob(j *Job, out *Output, err error) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -698,6 +704,9 @@ func (e *Engine) finishJob(j *Job, out *Output, err error) {
 		j.state = Failed
 		j.err = err
 	}
+	// The janitor reads seriesBytes once the job is terminal, under j.mu.
+	j.seriesBytes = j.series.Seal()
+	e.seriesBytes.Add(int64(j.seriesBytes))
 	state := j.state
 	prePersisted := j.prePersisted
 	latency := j.finished.Sub(j.started)
@@ -764,7 +773,7 @@ type Job struct {
 	// trace is the request correlation identifier, fixed at submission.
 	trace string
 	// series records the job's observable frames (one per simulation
-	// round of the traced trial); always non-nil.
+	// round of the traced trial); always non-nil. finishJob seals it.
 	series *obs.Series
 	// unobserved runs the job without a tracer, so its series stays
 	// empty (RunSync jobs and their sweep children); fixed at submission.
@@ -778,6 +787,7 @@ type Job struct {
 	cacheHit                    bool
 	prePersisted                bool
 	leaseWaited                 bool
+	seriesBytes                 int // sealed series size, set by finishJob
 	resumed                     int
 	graphBuildsAvoided          int
 	submitted, started          time.Time

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -319,6 +320,64 @@ func TestCancelRacesWorkerPickup(t *testing.T) {
 		if st := j.Snapshot(); st.State != Done && st.State != Canceled {
 			t.Fatalf("state = %s, want done or canceled", st.State)
 		}
+	}
+}
+
+// TestCancelLeavesPoppedJobToWorker pins who finishes a job a worker
+// has popped but not yet marked running: Cancel signals it and reports
+// true but leaves done open, and the worker's runJob ends it canceled
+// without running its spec. Finishing it in Cancel would report the job
+// canceled while its spec could still run and record frames.
+func TestCancelLeavesPoppedJobToWorker(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer shutdown(t, e)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	blocker := &testSpec{Name: "blocker", fn: func(ctx context.Context, progress func(done, total int)) (*Output, error) {
+		close(started)
+		<-release
+		return &Output{}, nil
+	}}
+	if _, err := e.Submit(blocker, 0); err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	<-started
+	ran := make(chan struct{}, 1)
+	b, err := e.Submit(&testSpec{Name: "popped", fn: func(ctx context.Context, progress func(done, total int)) (*Output, error) {
+		ran <- struct{}{}
+		return &Output{}, nil
+	}}, 0)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	e.mu.Lock()
+	popped := heap.Pop(&e.pending).(*Job)
+	e.mu.Unlock()
+	if popped != b {
+		t.Fatalf("popped %s, want %s", popped.ID(), b.ID())
+	}
+	if !e.Cancel(b.ID()) {
+		t.Fatal("Cancel of a popped job returned false")
+	}
+	select {
+	case <-b.Done():
+		t.Fatal("Cancel finished a job a worker holds")
+	default:
+	}
+	e.runJob(b)
+	select {
+	case <-b.Done():
+	default:
+		t.Fatal("runJob left the canceled job open")
+	}
+	if st := b.Snapshot(); st.State != Canceled {
+		t.Errorf("state = %s, want canceled", st.State)
+	}
+	select {
+	case <-ran:
+		t.Error("the canceled job's spec ran")
+	default:
 	}
 }
 

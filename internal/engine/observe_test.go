@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs/metrics"
 )
@@ -156,6 +158,64 @@ func TestSubmitTracedPropagatesTrace(t *testing.T) {
 	}
 	if st := plain.Snapshot(); st.Trace != "" {
 		t.Errorf("untraced job has trace %q", st.Trace)
+	}
+}
+
+// TestFinishedJobsRetainPackedSeries measures what a finished traced
+// job keeps: 500 cobra k=2 jobs of 8 trials each, cache off, on a small
+// grid and on an expander. With the ring kept, each retained 25.9 KiB,
+// 24 KiB of it the ring; packed, each keeps at most 6 KiB. The
+// SeriesBytes gauge counts the packed frames and drops to zero when
+// the janitor evicts the jobs.
+func TestFinishedJobsRetainPackedSeries(t *testing.T) {
+	const jobs = 500
+	for _, g := range []string{"grid:2,16", "regular:4096,5"} {
+		e := New(Options{Workers: 2, CacheSize: -1})
+		spec := func(seed uint64) *ProcessSpec {
+			return &ProcessSpec{Process: "cobra", Graph: g, Params: map[string]any{"k": 2.0}, Trials: 8, Seed: seed}
+		}
+		// The first job resolves the graph, which the store keeps.
+		if _, err := e.RunSync(context.Background(), spec(0)); err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		finished := make([]*Job, jobs)
+		for i := range finished {
+			j, err := e.Submit(spec(uint64(i+1)), 0)
+			if err != nil {
+				t.Fatalf("%s: submit %d: %v", g, i, err)
+			}
+			finished[i] = j
+		}
+		sealed := 0
+		for _, j := range finished {
+			if _, err := j.Wait(context.Background()); err != nil {
+				t.Fatalf("%s: %v", g, err)
+			}
+			if j.Series().Frames() == 0 {
+				t.Fatalf("%s: job %s recorded no frames", g, j.ID())
+			}
+			sealed += j.Series().Seal()
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perJob := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / jobs
+		t.Logf("%s: %d B retained per finished job, %d B of packed frames", g, perJob, sealed/jobs)
+		if perJob > 6<<10 {
+			t.Errorf("%s: each finished job retains %d B, want at most 6 KiB", g, perJob)
+		}
+		if got := e.Metrics().SeriesBytes; got != sealed {
+			t.Errorf("%s: SeriesBytes = %d, want the %d sealed bytes", g, got, sealed)
+		}
+		e.evictExpired(time.Now().Add(time.Hour))
+		if got := e.Metrics().SeriesBytes; got != 0 {
+			t.Errorf("%s: SeriesBytes = %d after evicting every job, want 0", g, got)
+		}
+		shutdown(t, e)
 	}
 }
 

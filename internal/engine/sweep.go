@@ -319,9 +319,9 @@ func (e *Engine) submitSweep(spec *SweepSpec, priority int, trace string, unobse
 	parent := e.newJobLocked(spec, priority, fp, trace)
 	parent.unobserved = unobserved
 	// The parent is never queued: its coordinator starts immediately, so
-	// it is Running from birth. This matters for Cancel, which finishes
-	// Queued jobs directly — a sweep must instead be torn down by its
-	// coordinator so cancellation reaches the children first.
+	// it is Running from birth. Cancel only signals it, and the
+	// coordinator tears the sweep down so cancellation reaches the
+	// children first.
 	parent.mu.Lock()
 	parent.state = Running
 	parent.started = time.Now()

@@ -5,11 +5,12 @@
 // The paper's objects of study — coverage growth, frontier size, the
 // extremal positions of a branching walk per generation — are
 // trajectories, not scalars. A Series keeps the newest frames of the
-// trials a Tracer admits one at a time, by value in a fixed-capacity
-// ring. Concurrency contract: one mutex guards a Series; Append holds
-// it to store one frame, and a reader holds it only while it copies at
-// most Cap frames. A reader that falls behind loses history, never
-// consistency.
+// trials a Tracer admits one at a time: by value in a fixed-capacity
+// ring while its job runs, then packed into a few bytes a frame once
+// the job has finished (Seal). Concurrency contract: one mutex guards a
+// Series; Append holds it to store one frame, Seal while it packs the
+// ring, and a reader only while it copies or decodes at most Cap
+// frames. A reader that falls behind loses history, never consistency.
 package obs
 
 import (
@@ -60,12 +61,24 @@ type slot struct {
 	covered, frontier, minPos, maxPos int32
 }
 
-// Series is a ring of the newest Cap frames. The first Append allocates
-// it, so a job that never traces holds none.
+func (e *slot) frame() Frame {
+	return Frame{
+		Trial: int(e.trial), Round: int(e.round), Covered: int(e.covered), Coverage: e.coverage,
+		Frontier: int(e.frontier), MinPos: int(e.minPos), MaxPos: int(e.maxPos), DurNanos: e.dur,
+	}
+}
+
+// Series holds the newest Cap frames. While its producer runs they sit
+// in a ring of 48-byte slots, which the first Append allocates, so a
+// job that never traces holds none. Seal then packs them into one
+// exact-size byte slice (see pack.go), about 8 bytes a frame, and
+// drops the ring; readers see the same frames and cursors either way.
 type Series struct {
 	capacity int
 	mu       sync.Mutex
 	ring     []slot
+	packed   []byte // the retained frames once sealed
+	sealed   bool
 	head     uint64 // frames ever appended; the next frame gets index head
 	// Trial accounting for progress interpolation: frames belonging to
 	// finished traced trials, and the count of finished traced trials.
@@ -101,8 +114,13 @@ func (s *Series) Frames() uint64 {
 }
 
 // Append stores one frame, overwriting the oldest once the ring is full.
+// It panics on a sealed series.
 func (s *Series) Append(f Frame) {
 	s.mu.Lock()
+	if s.sealed {
+		s.mu.Unlock()
+		panic("obs: Append to a sealed Series")
+	}
 	if s.ring == nil {
 		s.ring = make([]slot, s.capacity)
 	}
@@ -129,16 +147,32 @@ func (s *Series) Since(since uint64) ([]Frame, uint64) {
 		return nil, head
 	}
 	capacity := uint64(s.capacity)
-	lo := max(since, head-min(head, capacity))
+	first := head - min(head, capacity)
+	lo := max(since, first)
 	out := make([]Frame, head-lo)
+	if s.sealed {
+		unpack(out, s.packed, first, lo)
+		return out, head
+	}
 	for i := range out {
-		e := &s.ring[(lo+uint64(i))%capacity]
-		out[i] = Frame{
-			Trial: int(e.trial), Round: int(e.round), Covered: int(e.covered), Coverage: e.coverage,
-			Frontier: int(e.frontier), MinPos: int(e.minPos), MaxPos: int(e.maxPos), DurNanos: e.dur,
-		}
+		out[i] = s.ring[(lo+uint64(i))%capacity].frame()
 	}
 	return out, head
+}
+
+// Seal packs the retained frames and drops the ring, returning the
+// bytes the packed frames hold. It is for a series whose producer has
+// finished: Since, Snapshot, Frames, TrialProgress and Cap answer
+// exactly as before, and Append panics. Sealing again changes nothing.
+func (s *Series) Seal() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.sealed && s.ring != nil {
+		s.packed = pack(s.ring, s.head-min(s.head, uint64(s.capacity)), s.head)
+		s.ring = nil
+	}
+	s.sealed = true
+	return len(s.packed)
 }
 
 // Snapshot returns every retained frame in order plus the next sequence

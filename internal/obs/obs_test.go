@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 )
@@ -106,15 +108,200 @@ func TestSeriesWideFrameRoundTrip(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Append(want)
 	}
-	frames, next := s.Snapshot()
-	if next != 3 || len(frames) != 2 {
-		t.Fatalf("got %d frames, next %d; want 2, 3", len(frames), next)
+	for sealed := range 2 {
+		frames, next := s.Snapshot()
+		if next != 3 || len(frames) != 2 {
+			t.Fatalf("sealed=%d: got %d frames, next %d; want 2, 3", sealed, len(frames), next)
+		}
+		for _, got := range frames {
+			if got != want {
+				t.Fatalf("sealed=%d round trip:\n got %+v\nwant %+v", sealed, got, want)
+			}
+		}
+		s.Seal()
 	}
-	for _, got := range frames {
-		if got != want {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+}
+
+// sameFrames compares frames field by field, Coverage by its bits.
+func sameFrames(a, b []Frame) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.Coverage) != math.Float64bits(y.Coverage) {
+			return false
+		}
+		x.Coverage, y.Coverage = 0, 0
+		if x != y {
+			return false
 		}
 	}
+	return true
+}
+
+// checkSeal seals s and requires every read to answer as the ring did:
+// Since at every cursor from 0 to head+1, Frames, TrialProgress and
+// Cap. It returns the sealed size.
+func checkSeal(t *testing.T, s *Series) int {
+	t.Helper()
+	head := s.Frames()
+	want := make([][]Frame, head+2)
+	for x := range want {
+		frames, next := s.Since(uint64(x))
+		if next != head {
+			t.Fatalf("ring Since(%d) next = %d, want %d", x, next, head)
+		}
+		want[x] = frames
+	}
+	inFlight, mean := s.TrialProgress()
+	size := s.Seal()
+	for x := range want {
+		got, next := s.Since(uint64(x))
+		if next != head || !sameFrames(got, want[x]) {
+			t.Fatalf("sealed Since(%d) = %d frames, next %d; ring gave %d frames, next %d\n got %+v\nwant %+v",
+				x, len(got), next, len(want[x]), head, got, want[x])
+		}
+	}
+	if got := s.Frames(); got != head {
+		t.Fatalf("sealed Frames() = %d, want %d", got, head)
+	}
+	if i, m := s.TrialProgress(); i != inFlight || m != mean {
+		t.Fatalf("sealed TrialProgress = %d, %v; want %d, %v", i, m, inFlight, mean)
+	}
+	if again := s.Seal(); again != size {
+		t.Fatalf("second Seal = %d bytes, first %d", again, size)
+	}
+	return size
+}
+
+// TestSeriesSealKeepsFrames pins Seal on a traced series that wrapped
+// its ring: the reads match, the packed frames take a fraction of the
+// ring's bytes, and an Append after Seal panics.
+func TestSeriesSealKeepsFrames(t *testing.T) {
+	s := NewSeries(64)
+	tr := NewTracer(s)
+	for trial := 0; trial < 5; trial++ {
+		tt := tr.Begin(trial)
+		for round := 1; round <= 30; round++ {
+			tt.Round(min(round*round, 700), 700, round%9+1, -1, round/2)
+		}
+		tt.End()
+	}
+	// A coverage that is not Covered/n, and one that no n implies.
+	s.Append(Frame{Trial: 9, Round: 1, Covered: 3, Coverage: 0.7, MinPos: -1, MaxPos: -1})
+	s.Append(Frame{Trial: 9, Round: 2, Covered: 0, Coverage: math.Copysign(0, -1)})
+	if size := checkSeal(t, s); size <= 0 || size > 64*48/4 {
+		t.Fatalf("sealed 64 frames into %d bytes, want at most a quarter of the ring's %d", size, 64*48)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append after Seal did not panic")
+		}
+	}()
+	s.Append(Frame{})
+}
+
+// TestSeriesSealConcurrentReaders seals a series while readers call
+// Since; under -race this pins that Seal and the readers are ordered
+// by the mutex, and every read, before or after the seal, matches the
+// ring's answer.
+func TestSeriesSealConcurrentReaders(t *testing.T) {
+	for rep := 0; rep < 20; rep++ {
+		s := NewSeries(32)
+		for i := 1; i <= 100; i++ {
+			s.Append(Frame{Trial: i / 7, Round: i%7 + 1, Covered: i * 3, Coverage: float64(i*3) / 500, Frontier: i % 11, MinPos: -1, MaxPos: i / 4, DurNanos: int64(i) * 1000})
+		}
+		want := make([][]Frame, 102)
+		for x := range want {
+			want[x], _ = s.Since(uint64(x))
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 200; i++ {
+					x := (i*7 + r) % len(want)
+					if got, next := s.Since(uint64(x)); next != 100 || !sameFrames(got, want[x]) {
+						t.Errorf("Since(%d) during seal: %d frames, next %d; want %d frames, next 100", x, len(got), next, len(want[x]))
+						return
+					}
+				}
+			}(r)
+		}
+		close(start)
+		s.Seal()
+		wg.Wait()
+	}
+}
+
+// fuzzFrames decodes fuzz input into at most 1024 frames. Each frame
+// reads seven varint deltas against the previous frame (Trial, Round,
+// Covered, Frontier, MinPos, MaxPos, DurNanos), then a uvarint n:
+// Coverage is Covered/n, or for n = 0 the bits in the next 8 bytes.
+func fuzzFrames(data []byte) []Frame {
+	var out []Frame
+	var f Frame
+	next := func() (int64, bool) {
+		v, k := binary.Varint(data)
+		if k <= 0 {
+			return 0, false
+		}
+		data = data[k:]
+		return v, true
+	}
+	for len(out) < 1024 {
+		var d [7]int64
+		for i := range d {
+			v, ok := next()
+			if !ok {
+				return out
+			}
+			d[i] = v
+		}
+		n, k := binary.Uvarint(data)
+		if k <= 0 {
+			return out
+		}
+		data = data[k:]
+		f.Trial += int(d[0])
+		f.Round += int(d[1])
+		f.Covered += int(d[2])
+		f.Frontier += int(d[3])
+		f.MinPos += int(d[4])
+		f.MaxPos += int(d[5])
+		f.DurNanos += d[6]
+		if n > 0 {
+			f.Coverage = float64(f.Covered) / float64(n)
+		} else {
+			if len(data) < 8 {
+				return out
+			}
+			f.Coverage = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// FuzzSeriesSeal appends decoded frames to a series of capacity 1 to
+// 16, so the ring wraps, and requires the sealed series to answer
+// every read as the ring did. The frames can carry trial jumps, round
+// resets, falling covered counts, negative positions, rounds and
+// durations past 2^32 and arbitrary coverage bits. The committed
+// corpus holds a recorded cobra trace among others.
+func FuzzSeriesSeal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, capacity uint8, data []byte) {
+		s := NewSeries(1 + int(capacity%16))
+		for _, fr := range fuzzFrames(data) {
+			s.Append(fr)
+		}
+		checkSeal(t, s)
+	})
 }
 
 // TestSeriesConcurrentReaders hammers one producer against many
@@ -274,5 +461,66 @@ func BenchmarkSeriesAppend(b *testing.B) {
 	for b.Loop() {
 		round++
 		s.Append(Frame{Trial: 3, Round: round, Covered: round, Coverage: 0.5, Frontier: 9, MinPos: 1, MaxPos: 4, DurNanos: 100})
+	}
+}
+
+// benchSeries returns a series whose full 512-frame ring holds traced
+// rounds shaped like a cobra run's: 40-round trials on a 4096-vertex
+// graph, the frontier and covered count growing, the positions
+// spreading, and durations of tens of microseconds.
+func benchSeries() *Series {
+	s := NewSeries(0)
+	tr := NewTracer(s)
+	x := uint64(1)
+	for trial := 0; s.Frames() < DefaultCapacity; trial++ {
+		tt := tr.Begin(trial)
+		covered, frontier := 1, 1
+		for round := 1; round <= 40; round++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			frontier = min(frontier*2-int(x>>61), 4096)
+			covered = min(covered+frontier/2+int(x>>60), 4096)
+			tt.Round(covered, 4096, frontier, round/4-int(x>>62), round+int(x>>62))
+		}
+		tt.End()
+	}
+	return s
+}
+
+// BenchmarkSeriesSeal measures packing one full 512-frame ring, what a
+// traced job's finish costs.
+func BenchmarkSeriesSeal(b *testing.B) {
+	b.ReportAllocs()
+	var size int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := benchSeries()
+		b.StartTimer()
+		size = s.Seal()
+	}
+	b.ReportMetric(float64(size), "B/sealed")
+}
+
+// BenchmarkSeriesSince reads a full 512-frame series from cursor 0, as
+// /series and the SSE replay do: from the ring while the job runs and
+// from the packed bytes once it has finished.
+func BenchmarkSeriesSince(b *testing.B) {
+	for _, sealed := range []bool{false, true} {
+		name := "ring"
+		if sealed {
+			name = "sealed"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := benchSeries()
+			if sealed {
+				s.Seal()
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				frames, _ := s.Since(0)
+				if len(frames) != DefaultCapacity {
+					b.Fatalf("read %d frames", len(frames))
+				}
+			}
+		})
 	}
 }

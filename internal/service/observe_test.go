@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -310,7 +311,7 @@ func TestMetricsExposition(t *testing.T) {
 		"cobrad_points_adopted_total", "cobrad_lease_waits_total",
 		"cobrad_jobs_queued", "cobrad_jobs_running", "cobrad_workers",
 		"cobrad_queue_capacity", "cobrad_cache_entries", "cobrad_cache_capacity",
-		"cobrad_jobs_tracked", "cobrad_store_entries",
+		"cobrad_jobs_tracked", "cobrad_store_entries", "cobrad_job_series_bytes",
 		"cobrad_hub_subscribers", "cobrad_hub_pumps",
 		"cobrad_hub_frames_dropped_total",
 		"cobrad_http_request_duration_seconds_bucket",
@@ -325,6 +326,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(text, "cobrad_jobs_submitted_total 1") {
 		t.Errorf("submitted counter not 1:\n%s", text)
+	}
+	if strings.Contains(text, "cobrad_job_series_bytes 0\n") {
+		t.Errorf("a finished traced job holds no series bytes:\n%s", text)
 	}
 
 	// Structural conformance: HELP/TYPE pairing and sorted family order.
@@ -484,5 +488,133 @@ func TestHubSlowSubscriberDrops(t *testing.T) {
 	close(release)
 	if _, err := job.Wait(context.Background()); err != nil {
 		t.Fatalf("job: %v", err)
+	}
+}
+
+// replaySpec is an observable service-test job: it traces a fixed frame
+// sequence that wraps the default 512-frame ring (covered counts that
+// fall between trials, unknown positions as -1), reports on recorded,
+// then blocks until released.
+type replaySpec struct {
+	recorded chan<- struct{}
+	release  <-chan struct{}
+}
+
+func (s *replaySpec) Kind() string    { return "replay" }
+func (s *replaySpec) Validate() error { return nil }
+
+func (s *replaySpec) Run(ctx context.Context, progress func(done, total int)) (*engine.Output, error) {
+	return nil, fmt.Errorf("replay spec runs observed only")
+}
+
+func (s *replaySpec) RunObserved(ctx context.Context, progress func(done, total int), observer obs.Observer) (*engine.Output, error) {
+	for trial := 0; trial < 2; trial++ {
+		tr := observer.Begin(trial)
+		for round := 1; round <= 300; round++ {
+			covered := (round*(7+trial))%1000 + 1
+			minPos, maxPos := round%5-1, round/3-trial
+			tr.Round(covered, 1000, round%17+1, minPos, maxPos)
+		}
+		tr.End()
+	}
+	close(s.recorded)
+	select {
+	case <-s.release:
+		return &engine.Output{}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// rawGet returns the body of a GET that must answer 200.
+func rawGet(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+	}
+	return data
+}
+
+// sseReplay returns the raw bytes an events stream sends before its
+// first status event: the frames backfill from lastEventID.
+func sseReplay(t *testing.T, url, lastEventID string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", lastEventID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("open event stream: %v", err)
+	}
+	defer resp.Body.Close()
+	var replay strings.Builder
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() && sc.Text() != "event: status" {
+		replay.WriteString(sc.Text())
+		replay.WriteByte('\n')
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("read event stream: %v", err)
+	}
+	return replay.String()
+}
+
+// TestFinishedSeriesMatchesRunning pins that a job's frames read the
+// same once it has finished: every /series cursor from 0 to next+1 and
+// the SSE replay at several Last-Event-IDs answer byte for byte what
+// they answered while the job ran, over a sequence that wrapped the
+// ring.
+func TestFinishedSeriesMatchesRunning(t *testing.T) {
+	ts, eng := newTestServer(t, engine.Options{Workers: 1})
+	recorded, release := make(chan struct{}), make(chan struct{})
+	job, err := eng.Submit(&replaySpec{recorded: recorded, release: release}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-recorded
+	next := job.Series().Frames()
+	if next != 600 {
+		t.Fatalf("recorded %d frames, want 600", next)
+	}
+	read := func() (series [][]byte, replays []string) {
+		for c := uint64(0); c <= next+1; c++ {
+			series = append(series, rawGet(t, fmt.Sprintf("%s/v1/jobs/%s/series?since=%d", ts.URL, job.ID(), c)))
+		}
+		for _, id := range []uint64{0, 1, 88, 89, 300, next - 1, next, next + 1} {
+			replays = append(replays, sseReplay(t, ts.URL+"/v1/jobs/"+job.ID()+"/events", fmt.Sprint(id)))
+		}
+		return series, replays
+	}
+	runningSeries, runningReplays := read()
+	if !strings.Contains(runningReplays[0], fmt.Sprintf("id: %d\n", next)) {
+		t.Fatalf("replay from 0 sent no frames up to %d:\n%.200s", next, runningReplays[0])
+	}
+	close(release)
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	finishedSeries, finishedReplays := read()
+	for c := range runningSeries {
+		if !bytes.Equal(runningSeries[c], finishedSeries[c]) {
+			t.Fatalf("series?since=%d changed when the job finished:\nrunning  %.300s\nfinished %.300s",
+				c, runningSeries[c], finishedSeries[c])
+		}
+	}
+	for i := range runningReplays {
+		if runningReplays[i] != finishedReplays[i] {
+			t.Fatalf("SSE replay %d changed when the job finished:\nrunning  %.300s\nfinished %.300s",
+				i, runningReplays[i], finishedReplays[i])
+		}
 	}
 }

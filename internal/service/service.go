@@ -563,6 +563,7 @@ func (s *Server) registerMetrics() {
 		{"cobrad_cache_capacity", "Result cache entry capacity.", func(m engine.Metrics) int { return m.CacheCap }},
 		{"cobrad_jobs_tracked", "Jobs resident in the job table.", func(m engine.Metrics) int { return m.Jobs }},
 		{"cobrad_store_entries", "Records resident in the persistent store.", func(m engine.Metrics) int { return m.StoreEntries }},
+		{"cobrad_job_series_bytes", "Bytes of packed frames held by finished jobs in the job table.", func(m engine.Metrics) int { return m.SeriesBytes }},
 	}
 	for _, g := range gauges {
 		get := g.get

@@ -271,11 +271,16 @@ func TestSweepBadRequests(t *testing.T) {
 		{"unknown child", `{"spec":{"child":"teleport","sizes":[8],"k":1,"trials":1}}`},
 		{"empty grid", `{"spec":{"child":"process","process":"cobra","family":"cycle","k":2,"trials":1}}`},
 		{"unknown field", `{"spec":{"child":"process","process":"cobra","family":"cycle","sizes":[8],"k":2,"trials":1,"bogus":1}}`},
+		{"negative size", `{"spec":{"child":"process","process":"cobra","family":"cycle","sizes":[-8,16],"k":2,"trials":1}}`},
+		{"zero size", `{"spec":{"child":"process","process":"cobra","family":"cycle","sizes":[0],"k":2,"trials":1}}`},
 	}
 	for _, c := range cases {
 		var errBody errorEnvelope
 		if code := doJSON(t, "POST", ts.URL+"/v1/sweeps", c.body, &errBody); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", c.name, code)
+		}
+		if errBody.Error.Code != "bad_request" {
+			t.Errorf("%s: error code = %q, want bad_request", c.name, errBody.Error.Code)
 		}
 	}
 
