@@ -9,7 +9,7 @@ GO ?= go
 # set).
 MICROBENCH = ^Benchmark([^E]|E[^0-9])
 
-.PHONY: build test race bench bench-smoke bench-baseline bench-gate profile profile-server fmt vet cover fuzz e2e docs-check
+.PHONY: build test race examples bench bench-smoke bench-baseline bench-gate profile profile-server fmt vet cover fuzz e2e docs-check
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Run every example and diff its stdout against the copy recorded in its
+# testdata/stdout.txt. Each example's output depends only on its seeds;
+# a mismatch leaves the new output in testdata/stdout.got.
+examples:
+	@set -e; for d in examples/*/; do \
+		d=$${d%/}; echo "$$d"; \
+		$(GO) run ./$$d > $$d/testdata/stdout.got; \
+		diff -u $$d/testdata/stdout.txt $$d/testdata/stdout.got; \
+		rm $$d/testdata/stdout.got; \
+	done
 
 # Full benchmark sweep (experiments + engine microbenchmarks).
 bench:

@@ -54,8 +54,11 @@ func main() {
 			return float64(steps), okErr(ok)
 		}},
 		{"single random walk", "1 msg total", func(trial int, src *repro.Rand) (float64, error) {
-			s := repro.NewSimpleWalk(g, 0, src)
-			steps, ok := s.CoverTime(1000 * n * n)
+			// The simple random walk is the 1-cobra walk.
+			cfg := repro.CobraConfig{K: 1, DenseTheta: -1, MaxSteps: 1000 * n * n}
+			w := repro.NewCobraWalk(g, cfg, src)
+			w.Reset(0)
+			steps, ok := w.RunUntilCovered()
 			return float64(steps), okErr(ok)
 		}},
 	}

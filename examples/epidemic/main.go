@@ -26,7 +26,6 @@ func main() {
 	// Infection curve of one outbreak: active infections and cumulative
 	// exposure per round.
 	w := repro.NewCobraWalk(g, repro.CobraConfig{K: 2}, repro.NewRand(1))
-	w.SetRecording(true)
 	w.Reset(0)
 	fmt.Println("round  active  exposed  curve")
 	for round := 0; w.CoveredCount() < g.N(); round++ {

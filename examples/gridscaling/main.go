@@ -50,14 +50,17 @@ func main() {
 	}
 
 	// Contrast: simple random walk on 2-D grids scales ≈ quadratically.
+	// It is the 1-cobra walk, pinned to the sparse loop.
 	fmt.Println("baseline: simple random walk on d=2 grids")
 	var xs, ys []float64
 	for _, side := range []int{8, 16, 32} {
 		g := repro.Grid(2, side)
 		sample, err := repro.RunTrials(10, uint64(9000+side),
 			func(trial int, src *repro.Rand) (float64, error) {
-				s := repro.NewSimpleWalk(g, 0, src)
-				steps, ok := s.CoverTime(1000 * g.N() * g.N())
+				cfg := repro.CobraConfig{K: 1, DenseTheta: -1, MaxSteps: 1000 * g.N() * g.N()}
+				w := repro.NewCobraWalk(g, cfg, src)
+				w.Reset(0)
+				steps, ok := w.RunUntilCovered()
 				if !ok {
 					return 0, fmt.Errorf("RW cover cap exceeded")
 				}

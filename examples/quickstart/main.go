@@ -33,8 +33,12 @@ func main() {
 
 	// Baseline: the simple random walk needs quadratically many steps in
 	// the side length (up to logs); the cobra walk is linear (Theorem 3).
-	rw := repro.NewSimpleWalk(g, 0, repro.NewRand(7))
-	rwSteps, ok := rw.CoverTime(100 * g.N() * g.N())
+	// The simple walk is the 1-cobra walk; DenseTheta -1 keeps its single
+	// pebble on the sparse loop, one uniform neighbor draw per step.
+	rwCfg := repro.CobraConfig{K: 1, DenseTheta: -1, MaxSteps: 100 * g.N() * g.N()}
+	rw := repro.NewCobraWalk(g, rwCfg, repro.NewRand(7))
+	rw.Reset(0)
+	rwSteps, ok := rw.RunUntilCovered()
 	if !ok {
 		log.Fatal("random walk exceeded its step cap")
 	}

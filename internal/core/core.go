@@ -25,13 +25,17 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Config parameterizes a cobra walk.
 type Config struct {
 	// K is the branching factor: the number of neighbors sampled by each
-	// active vertex per round (with replacement). K = 1 reduces to the
-	// simple random walk; the paper studies K = 2.
+	// active vertex per round (with replacement). The paper studies
+	// K = 2. K = 1 is the simple random walk, and with DenseTheta = -1
+	// it draws the simple walk's own sequence, one Int31n(deg) per step;
+	// every simple-walk measurement in this repository runs that way.
 	K int
 	// MaxSteps caps a run; runs exceeding it report ok = false. Zero
 	// selects DefaultMaxSteps(n).
@@ -89,11 +93,9 @@ type Walk struct {
 	nActive      int
 	mark         []byte // dense-round membership marks, all-zero between rounds
 
-	nCovered  int
-	steps     int
-	messages  int64 // neighbor samples drawn (protocol message cost)
-	activeLog []int // per-round active set sizes, if recording
-	recording bool
+	nCovered int
+	steps    int
+	messages int64 // neighbor samples drawn (protocol message cost)
 }
 
 // New constructs a Walk on g. It panics if g has an isolated vertex
@@ -160,7 +162,6 @@ func (w *Walk) ResetSet(starts []int32) {
 	w.nCovered = 0
 	w.steps = 0
 	w.messages = 0
-	w.activeLog = w.activeLog[:0]
 	if w.blk != nil {
 		w.blk.Reset(w.rnd)
 	}
@@ -170,18 +171,7 @@ func (w *Walk) ResetSet(starts []int32) {
 			w.active = append(w.active, v)
 		}
 	}
-	if w.recording {
-		w.activeLog = append(w.activeLog, len(w.active))
-	}
 }
-
-// SetRecording enables per-round active-set-size logging (E12 trajectory
-// experiments). Must be called before Reset to capture round 0.
-func (w *Walk) SetRecording(on bool) { w.recording = on }
-
-// ActiveLog returns the recorded active-set sizes (round 0 first). The
-// slice aliases internal storage.
-func (w *Walk) ActiveLog() []int { return w.activeLog }
 
 // Steps returns the number of rounds executed since the last reset.
 func (w *Walk) Steps() int { return w.steps }
@@ -282,9 +272,6 @@ func (w *Walk) Step() {
 	w.nCovered = covered
 	w.active, w.next = next[:n], w.active[:0]
 	w.steps++
-	if w.recording {
-		w.activeLog = append(w.activeLog, len(w.active))
-	}
 }
 
 // factor returns v's branching factor this round: the walk's branching
@@ -356,52 +343,65 @@ func HittingTime(g *graph.Graph, k int, start, target int32, seed uint64) (steps
 	return w.RunUntilHit(target)
 }
 
+// Trials returns a pooled trial worker (see sim.RunTrialsPooled) that
+// measures cover or hitting rounds. Each worker goroutine builds one
+// Walk and rebinds it to each trial's stream, so trial i measures a
+// fresh walk on stream i. A trial starts with pebbles on starts and
+// counts rounds until target is first active, or until every vertex is
+// covered when target is negative; a trial that reaches the step cap
+// fails the run.
+func Trials(g *graph.Graph, cfg Config, starts []int32, target int32) sim.WorkerFunc {
+	return func() sim.TrialFunc {
+		w := New(g, cfg, rng.New(0))
+		return func(_ int, src *rng.Source) (float64, error) {
+			w.SetRand(src)
+			w.ResetSet(starts)
+			var steps int
+			var ok bool
+			if target < 0 {
+				steps, ok = w.RunUntilCovered()
+			} else {
+				steps, ok = w.RunUntilHit(target)
+			}
+			if !ok {
+				return 0, fmt.Errorf("core: step cap %d exceeded on %s", w.cfg.MaxSteps, g)
+			}
+			return float64(steps), nil
+		}
+	}
+}
+
 // MeanCoverTime estimates the expected cover time from start by averaging
 // trials independent runs (trial i uses stream i of seed). It returns the
 // sample of cover times for downstream statistics. An error is returned
 // if any trial exceeds the step cap.
 func MeanCoverTime(g *graph.Graph, k int, start int32, trials int, seed uint64) ([]float64, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("core: trials must be >= 1")
-	}
-	// One Walk and one Source serve every trial: reseeding plus Reset
-	// reproduces the exact per-trial streams of freshly allocated state
-	// without the O(n) allocations per trial.
-	out := make([]float64, trials)
-	w := New(g, Config{K: k}, rng.New(0))
-	for i := 0; i < trials; i++ {
-		w.rnd.Seed(rng.Stream(seed, i))
-		w.Reset(start)
-		steps, ok := w.RunUntilCovered()
-		if !ok {
-			return nil, fmt.Errorf("core: trial %d exceeded step cap %d on %s", i, w.cfg.MaxSteps, g)
-		}
-		out[i] = float64(steps)
-	}
-	return out, nil
+	return sim.RunTrialsPooled(trials, seed, Trials(g, Config{K: k}, []int32{start}, -1))
 }
 
 // MaxHittingTime estimates h_max = max_{u,v} H(u, v) by measuring mean
 // hitting times over the given pairs with trials runs each, returning the
-// largest mean. Used by the Matthews-relation experiment (Theorem 1).
+// largest mean. Trial i of pair p uses stream p*trials+i of seed. Used by
+// the Matthews-relation experiment (Theorem 1).
 func MaxHittingTime(g *graph.Graph, k int, pairs [][2]int32, trials int, seed uint64) (float64, error) {
 	if len(pairs) == 0 || trials < 1 {
 		return 0, fmt.Errorf("core: need pairs and trials")
 	}
-	worst := 0.0
-	w := New(g, Config{K: k}, rng.New(0))
-	for pi, p := range pairs {
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			w.rnd.Seed(rng.Stream(seed, pi*trials+i))
-			w.Reset(p[0])
-			steps, ok := w.RunUntilHit(p[1])
-			if !ok {
-				return 0, fmt.Errorf("core: hitting pair %v exceeded step cap", p)
-			}
-			sum += float64(steps)
+	sample, err := sim.RunTrialsPooled(len(pairs)*trials, seed, func() sim.TrialFunc {
+		perPair := make([]sim.TrialFunc, len(pairs))
+		for i, p := range pairs {
+			perPair[i] = Trials(g, Config{K: k}, []int32{p[0]}, p[1])()
 		}
-		if mean := sum / float64(trials); mean > worst {
+		return func(trial int, src *rng.Source) (float64, error) {
+			return perPair[trial/trials](trial, src)
+		}
+	})
+	if err != nil {
+		return 0, err
+	}
+	worst := 0.0
+	for i := range pairs {
+		if mean := stats.Mean(sample[i*trials : (i+1)*trials]); mean > worst {
 			worst = mean
 		}
 	}

@@ -161,28 +161,6 @@ func TestResetSetCoalescesDuplicates(t *testing.T) {
 	}
 }
 
-func TestRecordingLogsSizes(t *testing.T) {
-	g := graph.Complete(32)
-	w := New(g, Config{K: 2}, rng.New(6))
-	w.SetRecording(true)
-	w.Reset(0)
-	for i := 0; i < 10; i++ {
-		w.Step()
-	}
-	log := w.ActiveLog()
-	if len(log) != 11 {
-		t.Fatalf("log length %d, want 11", len(log))
-	}
-	if log[0] != 1 {
-		t.Fatalf("log[0] = %d, want 1", log[0])
-	}
-	for i, sz := range log {
-		if sz < 1 || sz > g.N() {
-			t.Fatalf("log[%d] = %d out of range", i, sz)
-		}
-	}
-}
-
 func TestMessagesSentAccounting(t *testing.T) {
 	g := graph.Complete(16)
 	w := New(g, Config{K: 3}, rng.New(4))

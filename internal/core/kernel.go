@@ -513,8 +513,7 @@ func sampleFrontierGeneralK(g *graph.Graph, active []int32, k int, mark []byte, 
 }
 
 // stepDense executes one round with the dense kernel. Semantics match
-// the sparse Step exactly (active set, coverage, message and recording
-// accounting); only the randomness consumption order and the ordering
+// the sparse Step exactly (active set, coverage and message accounting); only the randomness consumption order and the ordering
 // of the materialized frontier (ascending rather than insertion order)
 // differ. size is the current frontier size (list length or bitset
 // population).
@@ -544,9 +543,6 @@ func (w *Walk) stepDense(size int) {
 	w.activeIsBits = true
 	w.active = w.active[:0]
 	w.steps++
-	if w.recording {
-		w.activeLog = append(w.activeLog, w.frontierSize())
-	}
 }
 
 // sampleBranching is the dense sampling loop under a branching

@@ -45,20 +45,19 @@ func TestSparseKernelGolden(t *testing.T) {
 			t.Fatalf("seed %d: expander cover %d (ok=%v), golden %d", gc.seed, steps, ok, gc.expd)
 		}
 	}
-	// Per-round active-set trajectory fingerprint (FNV-1a over sizes).
+	// Per-round active-set trajectory fingerprint (FNV-1a over sizes,
+	// round 0 first).
 	w := New(gExp, sparseCfg(2), rng.New(7))
-	w.SetRecording(true)
 	w.Reset(0)
+	var h uint64 = 1469598103934665603
+	mix := func() { h ^= uint64(w.ActiveCount()); h *= 1099511628211 }
+	mix() // round 0
 	for i := 0; i < 40; i++ {
 		w.Step()
-	}
-	var h uint64 = 1469598103934665603
-	for _, a := range w.ActiveLog() {
-		h ^= uint64(a)
-		h *= 1099511628211
+		mix()
 	}
 	if h != 0xf19bec749bde946a {
-		t.Fatalf("sparse active-log fingerprint %#x, golden 0xf19bec749bde946a", h)
+		t.Fatalf("sparse active-size fingerprint %#x, golden 0xf19bec749bde946a", h)
 	}
 	if w.CoveredCount() != 500 {
 		t.Fatalf("covered %d after 40 rounds, golden 500", w.CoveredCount())
@@ -316,26 +315,25 @@ func TestFrontierGolden(t *testing.T) {
 func TestAutoKernelSwitches(t *testing.T) {
 	g := graph.MustRandomRegular(400, 5, 9)
 	w := New(g, Config{K: 2}, rng.New(3))
-	w.SetRecording(true)
 	w.Reset(0)
-	steps, ok := w.RunUntilCovered()
-	if !ok {
-		t.Fatal("auto-kernel walk did not cover")
-	}
-	// The walk must actually have used both regimes: some rounds at or
-	// below the cutoff, some above.
+	// The walk must actually have used both regimes: some rounds start
+	// at or below the cutoff, some above.
 	cut := DenseCutoff(g.N(), 0)
 	below, above := 0, 0
-	for _, a := range w.ActiveLog() {
-		if a > cut {
+	for w.CoveredCount() < g.N() {
+		if w.Steps() >= w.MaxSteps() {
+			t.Fatal("auto-kernel walk did not cover")
+		}
+		if w.ActiveCount() > cut {
 			above++
 		} else {
 			below++
 		}
+		w.Step()
 	}
 	if below == 0 || above == 0 {
 		t.Fatalf("adaptive run (%d steps) never switched kernels: %d sparse rounds, %d dense rounds",
-			steps, below, above)
+			w.Steps(), below, above)
 	}
 }
 

@@ -39,7 +39,7 @@ func E15BranchingK(scale Scale, seed uint64) (*Result, error) {
 		means := make([]float64, 4)
 		for ki, k := range []int{1, 2, 3, 4} {
 			sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 100+10*gi+ki),
-				cobraCoverWorker(g, core.Config{K: k}, []int32{0}, "E15"))
+				core.Trials(g, core.Config{K: k}, []int32{0}, -1))
 			if err != nil {
 				return nil, err
 			}
@@ -143,8 +143,9 @@ func E16Baselines(scale Scale, seed uint64) (*Result, error) {
 		}
 
 		singleMean, err := measure("single RW", 500, func(src *rng.Source) (float64, float64, error) {
-			s := walk.NewSimple(g, 0, src)
-			steps, ok := s.CoverTime(2000 * n * n)
+			w := core.New(g, core.Config{K: 1, DenseTheta: -1, MaxSteps: 2000 * n * n}, src)
+			w.Reset(0)
+			steps, ok := w.RunUntilCovered()
 			if !ok {
 				return 0, 0, fmt.Errorf("E16: single RW cap exceeded")
 			}

@@ -132,7 +132,7 @@ func E11Dominance(scale Scale, seed uint64) (*Result, error) {
 		g := pc.g
 		maxSteps := 500 * g.N() * g.N()
 		cobra, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 30+ci),
-			cobraHitWorker(g, core.Config{K: 2, MaxSteps: maxSteps}, pc.u, pc.v, "E11"))
+			core.Trials(g, core.Config{K: 2, MaxSteps: maxSteps}, []int32{pc.u}, pc.v))
 		if err != nil {
 			return nil, err
 		}

@@ -67,7 +67,7 @@ func E4Conductance(scale Scale, seed uint64) (*Result, error) {
 		}
 		g := f.g
 		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 50+fi),
-			cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E4"))
+			core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +131,7 @@ func E5Expander(scale Scale, seed uint64) (*Result, error) {
 		"graph", "n", "cover mean", "95% CI", "cover max", "log²n", "cover/log²n")
 	measure := func(g *graph.Graph, streamBase int) (sim.Point, error) {
 		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, streamBase),
-			cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E5"))
+			core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 		if err != nil {
 			return sim.Point{}, err
 		}

@@ -13,48 +13,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
-
-// cobraCoverWorker returns a pooled worker measuring cobra cover times
-// on g from the starts set: the Walk is allocated once per worker
-// goroutine and reset per trial (see sim.RunTrialsPooled), so trial
-// loops stop paying O(n) allocations per trial. label prefixes the
-// step-cap error.
-func cobraCoverWorker(g *graph.Graph, cfg core.Config, starts []int32, label string) sim.WorkerFunc {
-	return func() sim.TrialFunc {
-		w := core.New(g, cfg, rng.New(0))
-		return func(trial int, src *rng.Source) (float64, error) {
-			w.SetRand(src)
-			w.ResetSet(starts)
-			steps, ok := w.RunUntilCovered()
-			if !ok {
-				return 0, fmt.Errorf("%s: cover cap exceeded on %s", label, g)
-			}
-			return float64(steps), nil
-		}
-	}
-}
-
-// cobraHitWorker is cobraCoverWorker for hitting times: trials run from
-// start until target becomes active.
-func cobraHitWorker(g *graph.Graph, cfg core.Config, start, target int32, label string) sim.WorkerFunc {
-	return func() sim.TrialFunc {
-		w := core.New(g, cfg, rng.New(0))
-		return func(trial int, src *rng.Source) (float64, error) {
-			w.SetRand(src)
-			w.Reset(start)
-			steps, ok := w.RunUntilHit(target)
-			if !ok {
-				return 0, fmt.Errorf("%s: hit cap exceeded on %s", label, g)
-			}
-			return float64(steps), nil
-		}
-	}
-}
 
 // Scale selects experiment sizing.
 type Scale int

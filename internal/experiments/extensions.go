@@ -109,29 +109,23 @@ func E18Trajectories(scale Scale, seed uint64) (*Result, error) {
 	peaks := map[string]float64{}
 	for gi, g := range graphs {
 		maxRound := rounds[len(rounds)-1]
-		sums := make([]float64, len(rounds))
+		// traj[t] sums |S_t| over the trials, round 0 first.
 		traj := make([]float64, maxRound+1)
 		for trial := 0; trial < trials; trial++ {
 			w := core.New(g, core.Config{K: 2}, rng.NewStream(rng.Stream(seed, 10+gi), trial))
-			w.SetRecording(true)
 			w.Reset(0)
+			traj[0] += float64(w.ActiveCount())
 			for w.Steps() < maxRound {
 				w.Step()
-			}
-			log := w.ActiveLog()
-			for ri, r := range rounds {
-				sums[ri] += float64(log[r])
-			}
-			for i, v := range log {
-				traj[i] += float64(v)
+				traj[w.Steps()] += float64(w.ActiveCount())
 			}
 		}
 		cells := make([]interface{}, 0, len(rounds)+2)
 		cells = append(cells, g.Name())
 		n := float64(g.N())
 		peak := 0.0
-		for _, s := range sums {
-			frac := s / float64(trials) / n
+		for _, r := range rounds {
+			frac := traj[r] / float64(trials) / n
 			if frac > peak {
 				peak = frac
 			}

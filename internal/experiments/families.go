@@ -36,7 +36,7 @@ func E19RapidCoverage(scale Scale, seed uint64) (*Result, error) {
 		"graph", "n", "cover mean", "95% CI", "ln n", "cover/ln n", "cover/n")
 	measure := func(g *graph.Graph, streamBase int) (sim.Point, error) {
 		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, streamBase),
-			cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E19"))
+			core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 		if err != nil {
 			return sim.Point{}, err
 		}

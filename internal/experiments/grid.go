@@ -8,7 +8,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/walk"
 )
 
 // E1GridCover reproduces Theorem 3: the 2-cobra walk covers the grid
@@ -48,7 +47,7 @@ func E1GridCover(scale Scale, seed uint64) (*Result, error) {
 		for _, side := range sw.sides {
 			g := graph.Grid(sw.d, side)
 			sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, si*1000+side),
-				cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E1"))
+				core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 			if err != nil {
 				return nil, err
 			}
@@ -76,15 +75,8 @@ func E1GridCover(scale Scale, seed uint64) (*Result, error) {
 	var rwPoints []sim.Point
 	for _, side := range rwSides {
 		g := graph.Grid(2, side)
-		sample, err := sim.RunTrials(rwTrials, rng.Stream(seed, 777+side),
-			func(trial int, src *rng.Source) (float64, error) {
-				s := walk.NewSimple(g, 0, src)
-				steps, ok := s.CoverTime(100 * g.N() * g.N())
-				if !ok {
-					return 0, fmt.Errorf("E1: RW cover cap exceeded on %s", g)
-				}
-				return float64(steps), nil
-			})
+		sample, err := sim.RunTrialsPooled(rwTrials, rng.Stream(seed, 777+side),
+			core.Trials(g, core.Config{K: 1, DenseTheta: -1, MaxSteps: 100 * g.N() * g.N()}, []int32{0}, -1))
 		if err != nil {
 			return nil, err
 		}
@@ -204,16 +196,8 @@ func E2GridDrift(scale Scale, seed uint64) (*Result, error) {
 	if scale == Full {
 		trials = 30
 	}
-	sample, err := sim.RunTrials(trials, rng.Stream(seed, 2),
-		func(trial int, src *rng.Source) (float64, error) {
-			w2 := core.New(gHit, core.Config{K: 2}, src)
-			w2.Reset(0)
-			steps, ok := w2.RunUntilHit(hitTarget)
-			if !ok {
-				return 0, fmt.Errorf("E2: hit cap exceeded")
-			}
-			return float64(steps), nil
-		})
+	sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 2),
+		core.Trials(gHit, core.Config{K: 2}, []int32{0}, hitTarget))
 	if err != nil {
 		return nil, err
 	}

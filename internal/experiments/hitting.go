@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/walk"
 )
 
 // E8RegularHitting reproduces Theorem 15: the 2-cobra hitting time on
@@ -37,7 +36,7 @@ func E8RegularHitting(scale Scale, seed uint64) (*Result, error) {
 			g := build(n)
 			target := int32(n / 2)
 			sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, streamBase+i),
-				cobraHitWorker(g, core.Config{K: 2}, 0, target, "E8"))
+				core.Trials(g, core.Config{K: 2}, []int32{0}, target))
 			if err != nil {
 				return nil, err
 			}
@@ -72,7 +71,8 @@ func E8RegularHitting(scale Scale, seed uint64) (*Result, error) {
 	var rwPoints []sim.Point
 	for i, n := range rwSizes {
 		g := graph.Cycle(n)
-		sample, err := walk.MeanSimpleHittingTime(g, 0, int32(n/2), trials, 1000*n*n, rng.Stream(seed, 800+i))
+		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 800+i),
+			core.Trials(g, core.Config{K: 1, DenseTheta: -1, MaxSteps: 1000 * n * n}, []int32{0}, int32(n/2)))
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func E9Lollipop(scale Scale, seed uint64) (*Result, error) {
 		tail := int32(g.N() - 1)
 		// Start at vertex 1, a clique vertex away from the junction.
 		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 900+i),
-			cobraHitWorker(g, core.Config{K: 2, MaxSteps: 4000 * n * n}, 1, tail, "E9"))
+			core.Trials(g, core.Config{K: 2, MaxSteps: 4000 * n * n}, []int32{1}, tail))
 		if err != nil {
 			return nil, err
 		}
@@ -125,8 +125,8 @@ func E9Lollipop(scale Scale, seed uint64) (*Result, error) {
 	for i, n := range rwSizes {
 		g := graph.Lollipop(n/2, n/2)
 		tail := int32(g.N() - 1)
-		sample, err := walk.MeanSimpleHittingTime(g, 1, tail, trials,
-			2000*n*n*n, rng.Stream(seed, 950+i))
+		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 950+i),
+			core.Trials(g, core.Config{K: 1, DenseTheta: -1, MaxSteps: 2000 * n * n * n}, []int32{1}, tail))
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func E14Matthews(scale Scale, seed uint64) (*Result, error) {
 			return nil, err
 		}
 		cover, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 200+gi),
-			cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E14"))
+			core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func E12Trees(scale Scale, seed uint64) (*Result, error) {
 			g := graph.KAryTree(k, depth)
 			diam := 2 * depth
 			sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, k*100+depth),
-				cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E12"))
+				core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +86,7 @@ func E13Star(scale Scale, seed uint64) (*Result, error) {
 	for i, n := range sizes {
 		g := graph.Star(n)
 		sample, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 40+i),
-			cobraCoverWorker(g, core.Config{K: 2}, []int32{0}, "E13"))
+			core.Trials(g, core.Config{K: 2}, []int32{0}, -1))
 		if err != nil {
 			return nil, err
 		}

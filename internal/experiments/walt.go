@@ -48,7 +48,7 @@ func E6WaltDominance(scale Scale, seed uint64) (*Result, error) {
 	for ci, tc := range cases {
 		g := tc.g
 		cobra, err := sim.RunTrialsPooled(trials, rng.Stream(seed, 100+ci),
-			cobraCoverWorker(g, core.Config{K: 2}, tc.starts, "E6"))
+			core.Trials(g, core.Config{K: 2}, tc.starts, -1))
 		if err != nil {
 			return nil, err
 		}

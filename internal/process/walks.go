@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/walk"
@@ -52,6 +53,9 @@ func init() {
 	}})
 }
 
+// simpleWalkProcess runs the simple random walk as the 1-cobra walk on
+// core's seed-stable sparse loop (θ = -1), whose draws are one
+// Int31n(deg) per step.
 type simpleWalkProcess struct{ base }
 
 func (simpleWalkProcess) Run(ctx context.Context, r Run) (*Result, error) {
@@ -59,16 +63,10 @@ func (simpleWalkProcess) Run(ctx context.Context, r Run) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxSteps := walkCap(r)
+	cfg := core.Config{K: 1, DenseTheta: -1, MaxSteps: walkCap(r)}
 	r.progress()(0, r.Trials)
-	values, err := sim.RunTrialsContext(ctx, r.Trials, r.Seed,
-		func(trial int, src *rng.Source) (float64, error) {
-			steps, ok := walk.NewSimple(r.Graph, start, src).CoverTime(maxSteps)
-			if !ok {
-				return 0, fmt.Errorf("simple-walk: step cap exceeded on %s", r.Graph)
-			}
-			return float64(steps), nil
-		},
+	values, err := sim.RunTrialsPooledContext(ctx, r.Trials, r.Seed,
+		core.Trials(r.Graph, cfg, []int32{start}, -1),
 		func(completed int) { r.progress()(completed, r.Trials) })
 	if err != nil {
 		return nil, err

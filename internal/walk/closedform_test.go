@@ -25,25 +25,32 @@ func TestHarmonicNumber(t *testing.T) {
 // form within 3 standard errors plus 2% model slack.
 func validateClosedForm(t *testing.T, g *graph.Graph, start int32, want float64, trials int, seed uint64) {
 	t.Helper()
-	sample, err := MeanSimpleCoverTime(g, start, trials, 100000000, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, hw := stats.MeanCI(sample)
+	mean, hw := stats.MeanCI(simpleSample(t, g, start, -1, trials, 100000000, seed))
 	slack := 1.6*hw + 0.02*want
 	if math.Abs(mean-want) > slack {
 		t.Fatalf("%s: MC cover %.1f ± %.1f vs closed form %.1f", g.Name(), mean, hw, want)
 	}
 }
 
+// The complete and cycle cases also run at n = 130, where the walk's
+// visited and frontier bitsets span three 64-bit words.
+
 func TestCompleteCoverClosedForm(t *testing.T) {
-	n := 24
-	validateClosedForm(t, graph.Complete(n), 0, CompleteCoverTimeRW(n), 600, 3)
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{24, 3}, {130, 4}} {
+		validateClosedForm(t, graph.Complete(tc.n), 0, CompleteCoverTimeRW(tc.n), 600, tc.seed)
+	}
 }
 
 func TestCycleCoverClosedForm(t *testing.T) {
-	n := 24
-	validateClosedForm(t, graph.Cycle(n), 0, CycleCoverTimeRW(n), 600, 5)
+	for _, tc := range []struct {
+		n    int
+		seed uint64
+	}{{24, 5}, {130, 6}} {
+		validateClosedForm(t, graph.Cycle(tc.n), 0, CycleCoverTimeRW(tc.n), 600, tc.seed)
+	}
 }
 
 func TestPathCoverClosedForm(t *testing.T) {
@@ -61,12 +68,8 @@ func TestLollipopOrderOfMagnitude(t *testing.T) {
 	// the measured max hitting time (clique → path tip).
 	m, l := 12, 12
 	g := graph.Lollipop(m, l)
-	sample, err := MeanSimpleHittingTime(g, 1, int32(g.N()-1), 60, 100000000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mean := stats.Mean(simpleSample(t, g, 1, int32(g.N()-1), 60, 100000000, 11))
 	ref := LollipopMaxHittingRW(m, l)
-	mean := stats.Mean(sample)
 	if mean < ref/4 || mean > ref*8 {
 		t.Fatalf("lollipop hitting %.0f vs reference order %.0f", mean, ref)
 	}
@@ -77,12 +80,8 @@ func TestTorusCoverOrder(t *testing.T) {
 	// within a factor of ~2.5.
 	side := 16
 	g := graph.Torus(2, side)
-	sample, err := MeanSimpleCoverTime(g, 0, 30, 100000000, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mean := stats.Mean(simpleSample(t, g, 0, -1, 30, 100000000, 13))
 	ref := TorusCoverTimeRWOrder(side)
-	mean := stats.Mean(sample)
 	if mean < ref/3 || mean > ref*3 {
 		t.Fatalf("torus cover %.0f vs DPRZ order %.0f", mean, ref)
 	}

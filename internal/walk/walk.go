@@ -1,91 +1,17 @@
 // Package walk implements the random-walk processes the paper builds on
-// and compares against: simple and lazy random walks, parallel
-// independent random walks, and the biased walks of Section 5 (ε-biased
-// walks of Azar et al. and the paper's inverse-degree-biased walks, with
-// the Metropolis controller of Lemma 16).
+// and compares against: lazy random walks, parallel independent random
+// walks, the biased walks of Section 5 (ε-biased walks of Azar et al.
+// and the paper's inverse-degree-biased walks, with the Metropolis
+// controller of Lemma 16), and the simple walk's exact hitting times and
+// closed-form cover times. The simple random walk itself is the 1-cobra
+// walk: core.New with K = 1 and DenseTheta = -1 steps it.
 package walk
 
 import (
-	"fmt"
-
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
-
-// Simple is a simple random walk: at each step the walker moves to a
-// neighbor chosen uniformly at random.
-type Simple struct {
-	g     *graph.Graph
-	rnd   *rng.Source
-	pos   int32
-	steps int
-}
-
-// NewSimple creates a simple random walk at start.
-func NewSimple(g *graph.Graph, start int32, rnd *rng.Source) *Simple {
-	if g.MinDegree() == 0 && g.N() > 1 {
-		panic("walk: graph has an isolated vertex")
-	}
-	return &Simple{g: g, rnd: rnd, pos: start}
-}
-
-// Pos returns the current vertex.
-func (s *Simple) Pos() int32 { return s.pos }
-
-// Steps returns the number of steps taken.
-func (s *Simple) Steps() int { return s.steps }
-
-// Step moves to a uniformly random neighbor.
-func (s *Simple) Step() {
-	d := s.g.Degree(s.pos)
-	s.pos = s.g.Neighbor(s.pos, s.rnd.Int31n(d))
-	s.steps++
-}
-
-// HittingTime returns the number of steps until the walk first reaches
-// target (0 if already there); ok is false if maxSteps is exceeded.
-func (s *Simple) HittingTime(target int32, maxSteps int) (int, bool) {
-	start := s.steps
-	for s.pos != target {
-		if s.steps-start >= maxSteps {
-			return s.steps - start, false
-		}
-		s.Step()
-	}
-	return s.steps - start, true
-}
-
-// CoverTime returns the number of steps until every vertex has been
-// visited; ok is false if maxSteps is exceeded.
-func (s *Simple) CoverTime(maxSteps int) (int, bool) {
-	visited := bitset.New(s.g.N())
-	visited.Add(int(s.pos))
-	count := 1
-	start := s.steps
-	for count < s.g.N() {
-		if s.steps-start >= maxSteps {
-			return s.steps - start, false
-		}
-		s.Step()
-		if !visited.TestAndAdd(int(s.pos)) {
-			count++
-		}
-	}
-	return s.steps - start, true
-}
-
-// SimpleCoverTime is a convenience wrapper: cover time of a fresh simple
-// random walk from start.
-func SimpleCoverTime(g *graph.Graph, start int32, maxSteps int, seed uint64) (int, bool) {
-	return NewSimple(g, start, rng.New(seed)).CoverTime(maxSteps)
-}
-
-// SimpleHittingTime is a convenience wrapper: hitting time of a fresh
-// simple random walk.
-func SimpleHittingTime(g *graph.Graph, start, target int32, maxSteps int, seed uint64) (int, bool) {
-	return NewSimple(g, start, rng.New(seed)).HittingTime(target, maxSteps)
-}
 
 // Lazy is a lazy random walk: with probability half it stays put,
 // otherwise it moves to a uniformly random neighbor. Lazy walks avoid
@@ -195,34 +121,4 @@ func (p *Parallel) CoverTime(maxSteps int) (int, bool) {
 		p.Step()
 	}
 	return p.steps, true
-}
-
-// MeanSimpleCoverTime averages simple-random-walk cover times over
-// independent trials.
-func MeanSimpleCoverTime(g *graph.Graph, start int32, trials, maxSteps int, seed uint64) ([]float64, error) {
-	out := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		s := NewSimple(g, start, rng.NewStream(seed, i))
-		steps, ok := s.CoverTime(maxSteps)
-		if !ok {
-			return nil, fmt.Errorf("walk: trial %d exceeded %d steps on %s", i, maxSteps, g)
-		}
-		out[i] = float64(steps)
-	}
-	return out, nil
-}
-
-// MeanSimpleHittingTime averages simple-random-walk hitting times over
-// independent trials.
-func MeanSimpleHittingTime(g *graph.Graph, start, target int32, trials, maxSteps int, seed uint64) ([]float64, error) {
-	out := make([]float64, trials)
-	for i := 0; i < trials; i++ {
-		s := NewSimple(g, start, rng.NewStream(seed, i))
-		steps, ok := s.HittingTime(target, maxSteps)
-		if !ok {
-			return nil, fmt.Errorf("walk: trial %d exceeded %d steps on %s", i, maxSteps, g)
-		}
-		out[i] = float64(steps)
-	}
-	return out, nil
 }

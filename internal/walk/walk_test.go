@@ -4,24 +4,48 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
+// simpleCfg is the simple random walk as this repository runs it: the
+// 1-cobra walk on core's seed-stable sparse loop, capped at maxSteps.
+func simpleCfg(maxSteps int) core.Config {
+	return core.Config{K: 1, DenseTheta: -1, MaxSteps: maxSteps}
+}
+
+// simpleSample measures trials simple random walks from start, trial i
+// on stream i of seed: steps until target is first visited, or until
+// every vertex is when target is negative.
+func simpleSample(t *testing.T, g *graph.Graph, start, target int32, trials, maxSteps int, seed uint64) []float64 {
+	t.Helper()
+	sample, err := sim.RunTrialsPooled(trials, seed, core.Trials(g, simpleCfg(maxSteps), []int32{start}, target))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sample
+}
+
 func TestSimpleWalkStaysOnGraph(t *testing.T) {
 	g := graph.Cycle(10)
-	s := NewSimple(g, 0, rng.New(1))
-	prev := s.Pos()
+	w := core.New(g, simpleCfg(0), rng.New(1))
+	w.Reset(0)
+	pos := w.AppendActive(nil)
 	for i := 0; i < 1000; i++ {
-		s.Step()
-		if !g.HasEdge(prev, s.Pos()) {
-			t.Fatalf("walk jumped from %d to %d (not an edge)", prev, s.Pos())
+		prev := pos[0]
+		w.Step()
+		if pos = w.AppendActive(pos[:0]); len(pos) != 1 {
+			t.Fatalf("step %d: %d walkers, want 1", i, len(pos))
 		}
-		prev = s.Pos()
+		if !g.HasEdge(prev, pos[0]) {
+			t.Fatalf("walk jumped from %d to %d (not an edge)", prev, pos[0])
+		}
 	}
-	if s.Steps() != 1000 {
-		t.Fatalf("steps = %d", s.Steps())
+	if w.Steps() != 1000 {
+		t.Fatalf("steps = %d", w.Steps())
 	}
 }
 
@@ -29,11 +53,7 @@ func TestSimpleCoverTimeCompleteCouponCollector(t *testing.T) {
 	// On K_n the cover time is ~ (n-1) H_{n-1} (coupon collector over
 	// neighbors); for n=32 this is ~ 31*4.03 ≈ 125.
 	g := graph.Complete(32)
-	sample, err := MeanSimpleCoverTime(g, 0, 50, 100000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := stats.Mean(sample)
+	mean := stats.Mean(simpleSample(t, g, 0, -1, 50, 100000, 3))
 	if mean < 60 || mean > 250 {
 		t.Fatalf("K32 RW cover mean %.1f far from coupon-collector ~125", mean)
 	}
@@ -42,11 +62,7 @@ func TestSimpleCoverTimeCompleteCouponCollector(t *testing.T) {
 func TestSimpleHittingPathQuadratic(t *testing.T) {
 	// Hitting time end-to-end on a path of n vertices is (n-1)^2.
 	g := graph.Path(15)
-	sample, err := MeanSimpleHittingTime(g, 0, 14, 300, 1000000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := stats.Mean(sample)
+	mean := stats.Mean(simpleSample(t, g, 0, 14, 300, 1000000, 5))
 	want := 196.0
 	if math.Abs(mean-want) > 30 {
 		t.Fatalf("path hitting mean %.1f, want ≈ %.0f", mean, want)
@@ -54,27 +70,25 @@ func TestSimpleHittingPathQuadratic(t *testing.T) {
 }
 
 func TestSimpleHittingAtTarget(t *testing.T) {
-	g := graph.Cycle(8)
-	s := NewSimple(g, 5, rng.New(2))
-	steps, ok := s.HittingTime(5, 10)
+	w := core.New(graph.Cycle(8), simpleCfg(10), rng.New(2))
+	w.Reset(5)
+	steps, ok := w.RunUntilHit(5)
 	if !ok || steps != 0 {
 		t.Fatalf("hitting own position = %d, ok=%v", steps, ok)
 	}
 }
 
 func TestSimpleCoverCapEnforced(t *testing.T) {
-	g := graph.Cycle(100)
-	if _, ok := SimpleCoverTime(g, 0, 10, 1); ok {
+	w := core.New(graph.Cycle(100), simpleCfg(10), rng.New(1))
+	w.Reset(0)
+	if _, ok := w.RunUntilCovered(); ok {
 		t.Fatal("C100 cannot be covered in 10 steps")
 	}
 }
 
 func TestLazyWalkSlowerThanSimple(t *testing.T) {
 	g := graph.Cycle(20)
-	simple, err := MeanSimpleHittingTime(g, 0, 10, 100, 1000000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simple := simpleSample(t, g, 0, 10, 100, 1000000, 7)
 	lazySum := 0.0
 	for i := 0; i < 100; i++ {
 		l := NewLazy(g, 0, rng.NewStream(8, i))
@@ -92,10 +106,7 @@ func TestLazyWalkSlowerThanSimple(t *testing.T) {
 
 func TestParallelWalksCoverFasterThanSingle(t *testing.T) {
 	g := graph.Cycle(40)
-	single, err := MeanSimpleCoverTime(g, 0, 20, 1000000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := simpleSample(t, g, 0, -1, 20, 1000000, 9)
 	multiSum := 0.0
 	for i := 0; i < 20; i++ {
 		p := NewParallel(g, 8, 0, rng.NewStream(10, i))
@@ -180,10 +191,7 @@ func TestInverseDegreeBiasedNoBiasAtTarget(t *testing.T) {
 
 func TestBiasedWalkFasterThanSimpleOnPath(t *testing.T) {
 	g := graph.Path(20)
-	simple, err := MeanSimpleHittingTime(g, 0, 19, 60, 10000000, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simple := simpleSample(t, g, 0, 19, 60, 10000000, 13)
 	biased, err := MeanBiasedHittingTime(g, 0, 19, 60, 10000000, 14)
 	if err != nil {
 		t.Fatal(err)

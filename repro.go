@@ -11,8 +11,9 @@
 //     (grids, tori, hypercubes, expanders, trees, stars, lollipops,
 //     power-law and geometric random graphs, ...),
 //   - spectral estimators for conductance and mixing,
-//   - baseline processes (simple/lazy/parallel random walks, push and
-//     push-pull gossip), and
+//   - baseline processes (lazy and parallel random walks, push and
+//     push-pull gossip; the simple random walk is the 1-cobra walk,
+//     NewCobraWalk with K = 1 and DenseTheta = -1), and
 //   - the experiment harness that regenerates every theorem-validation
 //     table (cobractl experiments -scale full).
 //
@@ -281,14 +282,6 @@ func NewDriftChain(initial []int, src *Rand) *DriftChain { return queue.New(init
 // ---------------------------------------------------------------------------
 // Baseline walks and gossip
 // ---------------------------------------------------------------------------
-
-// SimpleWalk is a simple random walk.
-type SimpleWalk = walk.Simple
-
-// NewSimpleWalk creates a simple random walk at start.
-func NewSimpleWalk(g *Graph, start int32, src *Rand) *SimpleWalk {
-	return walk.NewSimple(g, start, src)
-}
 
 // LazyWalk is a lazy random walk (probability 1/2 of standing still).
 type LazyWalk = walk.Lazy

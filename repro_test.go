@@ -141,8 +141,9 @@ func TestDriftChainAPI(t *testing.T) {
 
 func TestBaselineWalksAPI(t *testing.T) {
 	g := Complete(16)
-	s := NewSimpleWalk(g, 0, NewRand(7))
-	if steps, ok := s.CoverTime(100000); !ok || steps < 15 {
+	s := NewCobraWalk(g, CobraConfig{K: 1, DenseTheta: -1, MaxSteps: 100000}, NewRand(7))
+	s.Reset(0)
+	if steps, ok := s.RunUntilCovered(); !ok || steps < 15 {
 		t.Fatalf("simple cover steps=%d ok=%v", steps, ok)
 	}
 	l := NewLazyWalk(g, 0, NewRand(8))
