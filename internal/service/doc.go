@@ -1,7 +1,7 @@
 // Package service exposes the simulation engine over an HTTP/JSON API:
 // the interface cobrad serves. docs/API.md is the operator-facing
 // reference for this surface; scripts/docs_check.sh keeps the two in
-// sync against Routes and ErrorCodes.
+// sync against Routes, ErrorCodes and the families /metrics exposes.
 //
 // # Endpoints
 //
@@ -26,8 +26,10 @@
 // # Events
 //
 // The events stream emits "status" events whose data is the job Status
-// JSON, coalesced to the latest state, and ends after the terminal
-// status; comment keep-alives are sent while a job is idle in queue.
+// JSON, coalesced to the latest state, and "frames" events carrying the
+// job's new series frames, which the stream reads at its own cursor. It
+// ends after the terminal status, sent after the last frames; comment
+// keep-alives are sent while a job is idle in queue.
 //
 // # Errors
 //

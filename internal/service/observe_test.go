@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -281,8 +282,8 @@ func TestTracePropagation(t *testing.T) {
 }
 
 // TestMetricsExposition checks the registry-backed /metrics endpoint:
-// the historical families survive by name, the new hub and HTTP
-// families appear, families are sorted, and every HELP line has a
+// the historical families survive by name, the open-stream gauge and
+// the HTTP families appear, families are sorted, and every HELP line has a
 // matching TYPE line.
 func TestMetricsExposition(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Options{Workers: 1})
@@ -312,8 +313,7 @@ func TestMetricsExposition(t *testing.T) {
 		"cobrad_jobs_queued", "cobrad_jobs_running", "cobrad_workers",
 		"cobrad_queue_capacity", "cobrad_cache_entries", "cobrad_cache_capacity",
 		"cobrad_jobs_tracked", "cobrad_store_entries", "cobrad_job_series_bytes",
-		"cobrad_hub_subscribers", "cobrad_hub_pumps",
-		"cobrad_hub_frames_dropped_total",
+		"cobrad_hub_subscribers",
 		"cobrad_http_request_duration_seconds_bucket",
 		"cobrad_http_request_duration_seconds_count",
 		"graphstore_builds_total", "graphstore_hits_total",
@@ -353,7 +353,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestEventsFanOutHammer is the fan-out acceptance test: many
 // concurrent subscribers stream one live job and every one of them
 // sees well-formed frames and a terminal status. Run under -race this
-// also proves the hub's pump/subscriber handoff is clean.
+// also proves the streams' concurrent series reads are clean.
 func TestEventsFanOutHammer(t *testing.T) {
 	const subscribers = 120
 	ts, _ := newTestServer(t, engine.Options{Workers: 1})
@@ -434,61 +434,194 @@ func TestEventsFanOutHammer(t *testing.T) {
 	}
 }
 
-// TestHubSlowSubscriberDrops pins the drop policy directly: a
-// subscriber that never drains its frame channel loses batches (the
-// hub counts them) while the pump and fast subscribers are unaffected.
-func TestHubSlowSubscriberDrops(t *testing.T) {
+// floodSpec is an observable service-test job that waits for start,
+// then traces one trial of 4000 rounds in bursts of 200. After each
+// burst but the last it waits until received counts every frame
+// recorded so far (for at most 30 s over the whole run), so a reader
+// that keeps up loses no frame to the ring. The job finishes right
+// after the last burst, so those frames reach a stream only if it
+// sends its unsent frames before the terminal status.
+type floodSpec struct {
+	start    <-chan struct{}
+	received *atomic.Int64
+}
+
+func (s *floodSpec) Kind() string    { return "flood" }
+func (s *floodSpec) Validate() error { return nil }
+
+func (s *floodSpec) Run(ctx context.Context, progress func(done, total int)) (*engine.Output, error) {
+	return nil, fmt.Errorf("flood spec runs observed only")
+}
+
+func (s *floodSpec) RunObserved(ctx context.Context, progress func(done, total int), observer obs.Observer) (*engine.Output, error) {
+	select {
+	case <-s.start:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	tr := observer.Begin(0)
+	for round := 1; round <= 4000; round++ {
+		tr.Round(round, 4000, round%9+1, round%4, round%13+4)
+		for round%200 == 0 && round < 4000 && s.received.Load() < int64(round) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	tr.End()
+	return &engine.Output{}, nil
+}
+
+// smallSendBuffers shrinks each accepted connection's send buffer, so
+// a client that stops reading stalls the server's writes within a few
+// kilobytes rather than the megabytes the kernel may grow it to.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// waitGauge polls /metrics until the unlabeled gauge reads want.
+func waitGauge(t *testing.T, ts *httptest.Server, name string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	got := "absent"
+	for time.Now().Before(deadline) {
+		for _, line := range strings.Split(string(rawGet(t, ts.URL+"/metrics")), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				got = v
+			}
+		}
+		if got == fmt.Sprint(want) {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("%s = %s, want %v", name, got, want)
+}
+
+// TestEventsStalledReaderBlocksNothing checks that a client which opens
+// /events and never reads holds up nothing but its own stream: a second
+// client following the same job receives every frame and the terminal
+// status, the job finishes, and cobrad_hub_subscribers returns to 0 once
+// the stalled client closes.
+func TestEventsStalledReaderBlocksNothing(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
-	defer func() {
+	ts := httptest.NewUnstartedServer(New(eng).Handler())
+	ts.Listener = smallSendBuffers{ts.Listener}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = eng.Shutdown(ctx)
-	}()
-	h := newHub()
-	h.interval = time.Millisecond
-
-	release := make(chan struct{})
-	job, err := eng.Submit(&blockSpec{Name: "slowsub", release: release}, 0)
+	})
+	start := make(chan struct{})
+	var received atomic.Int64
+	job, err := eng.Submit(&floodSpec{start: start, received: &received}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, cancelSlow := h.subscribe(job)
-	defer cancelSlow()
-	fast, cancelFast := h.subscribe(job)
-	defer cancelFast()
-	if h.subscribers.Load() != 2 {
-		t.Fatalf("subscriber gauge = %d, want 2", h.subscribers.Load())
-	}
 
-	// Feed the job's series directly (the spec itself records nothing)
-	// and never drain the slow subscriber.
-	series := job.Series()
-	drained := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for h.dropped.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no drops recorded for a stalled subscriber")
-		}
-		series.Append(obs.Frame{Trial: 0, Round: drained + 1, Covered: 1, Frontier: 1})
-		// Keep the fast subscriber drained so only the slow one backs up.
-		for {
-			select {
-			case <-fast.frames:
-				drained++
-				continue
-			default:
+	// The stalled client asks for the stream on a raw connection with a
+	// small receive buffer and never reads a byte.
+	addr := ts.Listener.Addr().String()
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if tc, ok := stalled.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(4096)
+	}
+	if _, err := fmt.Fprintf(stalled, "GET /v1/jobs/%s/events HTTP/1.1\r\nHost: %s\r\n\r\n", job.ID(), addr); err != nil {
+		t.Fatal(err)
+	}
+	waitGauge(t, ts, "cobrad_hub_subscribers", 1)
+
+	// The follower reads to the end of the stream, releasing the job
+	// once its first event shows the stream is open.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+job.ID()+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("open event stream: %v", err)
+	}
+	defer resp.Body.Close()
+	var got []obs.Frame
+	var final engine.Status
+	var ev sseRawEvent
+	events := 0
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if ev.event != "" {
+				if events++; events == 1 {
+					close(start)
+				}
 			}
-			break
+			switch ev.event {
+			case "status":
+				if err := json.Unmarshal([]byte(ev.data), &final); err != nil {
+					t.Fatalf("bad status event %q: %v", ev.data, err)
+				}
+			case "frames":
+				var batch []obs.Frame
+				if err := json.Unmarshal([]byte(ev.data), &batch); err != nil {
+					t.Fatalf("bad frames event %q: %v", ev.data, err)
+				}
+				got = append(got, batch...)
+				if ev.id != fmt.Sprint(len(got)) {
+					t.Fatalf("frames event with id %s brings the stream to %d frames", ev.id, len(got))
+				}
+				received.Store(int64(len(got)))
+			}
+			ev = sseRawEvent{}
+		case strings.HasPrefix(line, "id: "):
+			ev.id = strings.TrimPrefix(line, "id: ")
+		case strings.HasPrefix(line, "event: "):
+			ev.event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			ev.data = strings.TrimPrefix(line, "data: ")
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if len(slow.frames) != cap(slow.frames) {
-		t.Errorf("slow subscriber queue %d/%d, want full", len(slow.frames), cap(slow.frames))
+	if err := sc.Err(); err != nil {
+		t.Fatalf("read event stream: %v", err)
 	}
-	close(release)
-	if _, err := job.Wait(context.Background()); err != nil {
+	if final.State != engine.Done {
+		t.Fatalf("follower's last status %s (%s), want done", final.State, final.Error)
+	}
+	if _, err := job.Wait(ctx); err != nil {
 		t.Fatalf("job: %v", err)
 	}
+	if len(got) != 4000 {
+		t.Fatalf("follower received %d frames, want 4000", len(got))
+	}
+	retained, next := job.Series().Since(0)
+	if next != 4000 {
+		t.Fatalf("job recorded %d frames, want 4000", next)
+	}
+	for i, f := range retained {
+		if g := got[len(got)-len(retained)+i]; g != f {
+			t.Fatalf("frame %d: streamed %+v, series holds %+v", 4000-len(retained)+i, g, f)
+		}
+	}
+
+	// The stalled stream is still open, its handler held by a write the
+	// client does not read; closing the client ends it.
+	waitGauge(t, ts, "cobrad_hub_subscribers", 1)
+	stalled.Close()
+	waitGauge(t, ts, "cobrad_hub_subscribers", 0)
 }
 
 // replaySpec is an observable service-test job: it traces a fixed frame
@@ -615,6 +748,150 @@ func TestFinishedSeriesMatchesRunning(t *testing.T) {
 		if runningReplays[i] != finishedReplays[i] {
 			t.Fatalf("SSE replay %d changed when the job finished:\nrunning  %.300s\nfinished %.300s",
 				i, runningReplays[i], finishedReplays[i])
+		}
+	}
+}
+
+// pacedSpec is an observable service-test job that waits for start,
+// then traces two trials of 150 rounds, pausing 40 ms after every 10
+// rounds so a live stream reads the series many times while it grows.
+// Each trial reports progress when it ends.
+type pacedSpec struct {
+	start <-chan struct{}
+}
+
+func (s *pacedSpec) Kind() string    { return "paced" }
+func (s *pacedSpec) Validate() error { return nil }
+
+func (s *pacedSpec) Run(ctx context.Context, progress func(done, total int)) (*engine.Output, error) {
+	return nil, fmt.Errorf("paced spec runs observed only")
+}
+
+func (s *pacedSpec) RunObserved(ctx context.Context, progress func(done, total int), observer obs.Observer) (*engine.Output, error) {
+	select {
+	case <-s.start:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	for trial := 0; trial < 2; trial++ {
+		tr := observer.Begin(trial)
+		for round := 1; round <= 150; round++ {
+			tr.Round(round, 300, round%7+1, round%3, round%11+trial)
+			if round%10 == 0 {
+				time.Sleep(40 * time.Millisecond)
+			}
+		}
+		tr.End()
+		progress(trial+1, 2)
+	}
+	return &engine.Output{}, nil
+}
+
+// sseRawEvent is one event of a stream, in arrival order.
+type sseRawEvent struct {
+	id, event, data string
+}
+
+// TestEventsLiveStreamIsLossless pins live delivery: a stream opened
+// before the job's first frame receives every frame the job records
+// exactly once, field for field and in cursor order, and the terminal
+// status is its last event.
+func TestEventsLiveStreamIsLossless(t *testing.T) {
+	ts, eng := newTestServer(t, engine.Options{Workers: 1})
+	start := make(chan struct{})
+	job, err := eng.Submit(&pacedSpec{start: start}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/jobs/"+job.ID()+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("open event stream: %v", err)
+	}
+	defer resp.Body.Close()
+
+	// Read the whole stream, releasing the job once its first status
+	// event shows the stream is open.
+	var events []sseRawEvent
+	var ev sseRawEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if ev.event != "" {
+				if len(events) == 0 {
+					close(start)
+				}
+				events = append(events, ev)
+			}
+			ev = sseRawEvent{}
+		case strings.HasPrefix(line, "id: "):
+			ev.id = strings.TrimPrefix(line, "id: ")
+		case strings.HasPrefix(line, "event: "):
+			ev.event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			ev.data = strings.TrimPrefix(line, "data: ")
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("read event stream: %v", err)
+	}
+	if len(events) == 0 || events[0].event != "status" {
+		t.Fatalf("stream did not open with a status event: %+v", events)
+	}
+
+	var got []obs.Frame
+	var lastID uint64
+	for i, ev := range events {
+		switch ev.event {
+		case "status":
+			var st engine.Status
+			if err := json.Unmarshal([]byte(ev.data), &st); err != nil {
+				t.Fatalf("bad status event %q: %v", ev.data, err)
+			}
+			if last := i == len(events)-1; st.State.Terminal() != last {
+				t.Fatalf("event %d of %d is status %s: the terminal status must be the last event", i+1, len(events), st.State)
+			}
+			if i == len(events)-1 && st.State != engine.Done {
+				t.Fatalf("final status %s (%s), want done", st.State, st.Error)
+			}
+		case "frames":
+			var id uint64
+			if _, err := fmt.Sscanf(ev.id, "%d", &id); err != nil {
+				t.Fatalf("bad frames id %q: %v", ev.id, err)
+			}
+			if id <= lastID {
+				t.Fatalf("frames id %d after %d: cursors must strictly increase", id, lastID)
+			}
+			lastID = id
+			var batch []obs.Frame
+			if err := json.Unmarshal([]byte(ev.data), &batch); err != nil {
+				t.Fatalf("bad frames event %q: %v", ev.data, err)
+			}
+			got = append(got, batch...)
+			if uint64(len(got)) != id {
+				t.Fatalf("frames event with id %d brings the stream to %d frames", id, len(got))
+			}
+		}
+	}
+
+	want, next := job.Series().Since(0)
+	if next != 300 || len(want) != 300 {
+		t.Fatalf("series holds %d frames, next %d; want 300 and 300", len(want), next)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stream delivered %d frames, series holds %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d: streamed %+v, series holds %+v", i, got[i], want[i])
 		}
 	}
 }

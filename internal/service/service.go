@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -24,7 +25,7 @@ type Server struct {
 	cl      cluster.Backend
 	cs      *cluster.Server
 	started time.Time
-	hub     *hub
+	streams atomic.Int64 // open /events streams
 	reg     *metrics.Registry
 	log     *slog.Logger
 	httpDur *metrics.Histogram
@@ -67,7 +68,7 @@ func WithLogger(l *slog.Logger) Option {
 
 // New wraps an engine in an API server.
 func New(eng *engine.Engine, opts ...Option) *Server {
-	s := &Server{eng: eng, started: time.Now(), hub: newHub()}
+	s := &Server{eng: eng, started: time.Now()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -335,6 +336,10 @@ func (s *Server) sweepStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// eventsPoll is how often an events stream reads its job's series for
+// new frames between status updates.
+const eventsPoll = 25 * time.Millisecond
+
 // events streams job telemetry over Server-Sent Events until the job
 // is terminal or the client disconnects. The stream multiplexes two
 // event types:
@@ -351,9 +356,10 @@ func (s *Server) sweepStatus(w http.ResponseWriter, r *http.Request) {
 // carry batches of per-round observable frames from the job's series;
 // the id line is the series cursor after the batch, so a reconnecting
 // client sends it back as Last-Event-ID and resumes without replaying
-// frames it already has. Frame delivery is lossy under backpressure:
-// a subscriber that cannot keep up loses frames (counted by
-// cobrad_hub_frames_dropped_total), never the status sequence.
+// frames it already has. Each stream reads the series at its own
+// cursor, so it loses no frame the series still retains; a stream that
+// falls more than Cap frames behind skips the overwritten ones, as
+// /series does. Frames never trail the terminal status.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.eng.Job(r.PathValue("id"))
 	if !ok {
@@ -366,10 +372,12 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("response writer does not support streaming"), "")
 		return
 	}
-	// Subscribe before the initial snapshot so no transition between
+	// Watch before the initial snapshot so no transition between
 	// snapshot and subscription is lost.
-	sub, unsubscribe := s.hub.subscribe(job)
-	defer unsubscribe()
+	updates, unwatch := job.Watch()
+	defer unwatch()
+	s.streams.Add(1)
+	defer s.streams.Add(-1)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -392,18 +400,13 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 			cursor = v
 		}
 	}
-	sendFrames := func(frames []obs.Frame, next uint64) {
-		if next <= cursor {
-			return
-		}
-		// Batches can overlap the backfill; emit only the unseen tail.
-		if over := uint64(len(frames)) - min(uint64(len(frames)), next-cursor); over > 0 {
-			frames = frames[over:]
-		}
-		cursor = next
+	series := job.Series()
+	sendFrames := func() {
+		frames, next := series.Since(cursor)
 		if len(frames) == 0 {
 			return
 		}
+		cursor = next
 		data, err := json.Marshal(frames)
 		if err != nil {
 			return
@@ -411,57 +414,32 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "id: %d\nevent: frames\ndata: %s\n\n", next, data)
 		fl.Flush()
 	}
-	// drainFrames forwards whatever batches are already queued; used
-	// before terminal status sends so frames never trail the terminal
-	// event.
-	drainFrames := func() {
-		for {
-			select {
-			case b := <-sub.frames:
-				sendFrames(b.frames, b.next)
-			default:
-				return
-			}
-		}
-	}
-	finish := func() {
-		drainFrames()
-		frames, next := job.Series().Since(cursor)
-		sendFrames(frames, next)
-		select {
-		case st := <-sub.status:
-			sendStatus(st)
-		default:
-			sendStatus(job.Snapshot())
-		}
-	}
 
-	// Backfill retained frames, then the initial snapshot.
-	frames, next := job.Series().Since(cursor)
-	sendFrames(frames, next)
+	// Backfill retained frames, then the initial snapshot. The snapshot
+	// is taken first: a job terminal in it has sealed every frame, so
+	// the backfill holds them all.
 	st := job.Snapshot()
+	sendFrames()
 	sendStatus(st)
 	if st.State.Terminal() {
 		return
 	}
+	poll := time.NewTicker(eventsPoll)
+	defer poll.Stop()
 	keepalive := time.NewTicker(15 * time.Second)
 	defer keepalive.Stop()
 	for {
 		select {
-		case st := <-sub.status:
+		case st := <-updates:
 			if st.State.Terminal() {
-				drainFrames()
+				// The series is sealed before the terminal notify.
+				sendFrames()
 				sendStatus(st)
 				return
 			}
 			sendStatus(st)
-		case b := <-sub.frames:
-			sendFrames(b.frames, b.next)
-		case <-sub.closed:
-			// The pump exited: the job is terminal and every delivery is
-			// already queued. Flush frames, then the terminal status.
-			finish()
-			return
+		case <-poll.C:
+			sendFrames()
 		case <-keepalive.C:
 			fmt.Fprint(w, ": keepalive\n\n")
 			fl.Flush()
@@ -524,8 +502,8 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 
 // registerMetrics installs the server's function-backed collectors in
 // the registry: the historical engine counters and gauges (names
-// unchanged from the hand-written exposition they replace), the SSE hub
-// accounting, and HTTP request latency. Values are read at scrape time
+// unchanged from the hand-written exposition they replace), the open
+// event streams, and HTTP request latency. Values are read at scrape time
 // from the engine's own atomic counters, so nothing is double-counted.
 func (s *Server) registerMetrics() {
 	counters := []struct {
@@ -582,14 +560,8 @@ func (s *Server) registerMetrics() {
 			return float64(alive)
 		})
 	}
-	s.reg.NewGaugeFunc("cobrad_hub_subscribers", "SSE subscribers currently attached to the event hub.", func() float64 {
-		return float64(s.hub.subscribers.Load())
-	})
-	s.reg.NewGaugeFunc("cobrad_hub_pumps", "Jobs with a live event pump.", func() float64 {
-		return float64(s.hub.pumpCount())
-	})
-	s.reg.NewCounterFunc("cobrad_hub_frames_dropped_total", "Frame batches dropped to slow SSE subscribers.", func() float64 {
-		return float64(s.hub.dropped.Load())
+	s.reg.NewGaugeFunc("cobrad_hub_subscribers", "Open SSE event streams.", func() float64 {
+		return float64(s.streams.Load())
 	})
 	s.reg.NewCounterFunc("graphstore_builds_total", "Graphs built from spec (artifact store misses).", func() float64 {
 		return float64(s.eng.Graphs().Stats().Builds)
@@ -622,9 +594,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // Machine-readable error codes of the v1 error envelope. The client SDK

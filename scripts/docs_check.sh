@@ -4,6 +4,8 @@
 #   - every route registered in internal/service appears in docs/API.md
 #   - every error-envelope code appears in docs/API.md
 #   - every registered process has a row in the README process table
+#   - every metric family /metrics exposes appears in docs/API.md, and
+#     every cobrad_/graphstore_ name in docs/API.md or README.md is one
 #   - no doc or Go file names a cmd/ directory or Markdown file that
 #     does not exist
 #

@@ -7,6 +7,11 @@
 //     docs/API.md;
 //   - every registered process (process.Names) must have a row in the
 //     README's process table ("| `name` |");
+//   - every metric family that an engine and a service sharing one
+//     registry expose on /metrics must appear in docs/API.md, and every
+//     cobrad_ or graphstore_ name in docs/API.md or README.md must be
+//     one of those families (a histogram's _bucket, _count and _sum
+//     series belong to their family);
 //   - every name that points into the tree must exist: a cmd/<name>
 //     directory, or an upper-case Markdown file (README.md, API.md) at
 //     the path given, or at the root or under docs/ when no directory
@@ -23,13 +28,19 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 
+	"repro/internal/cluster"
+	"repro/internal/engine"
+	"repro/internal/obs/metrics"
 	"repro/internal/process"
 	"repro/internal/service"
 )
@@ -62,6 +73,12 @@ func main() {
 		}
 	}
 
+	families, histograms := metricFamilies()
+	failures = append(failures, metricNames(families, histograms, map[string]string{
+		"docs/API.md": api,
+		"README.md":   readme,
+	})...)
+
 	stale, err := staleNames(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
@@ -76,8 +93,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: FAIL (%d problems)\n", len(failures))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: OK — %d routes, %d error codes, %d processes documented; no stale names\n",
-		len(service.Routes()), len(service.ErrorCodes()), len(process.Names()))
+	fmt.Printf("docscheck: OK — %d routes, %d error codes, %d processes, %d metric families documented; no stale names\n",
+		len(service.Routes()), len(service.ErrorCodes()), len(process.Names()), len(families))
 }
 
 func mustRead(path string) string {
@@ -89,9 +106,77 @@ func mustRead(path string) string {
 	return string(data)
 }
 
+// memberless is a cluster backend with no members. The service reads
+// only Nodes from it, when /metrics renders cobrad_cluster_nodes_alive,
+// the one family a single-node daemon does not register.
+type memberless struct{ cluster.Backend }
+
+func (memberless) Nodes() ([]cluster.NodeInfo, error) { return nil, nil }
+
+// metricFamilies builds an engine and a service that share one
+// registry, as cobrad does, and returns the families its exposition
+// declares with a # HELP line, and which of them are histograms.
+func metricFamilies() (families, histograms map[string]bool) {
+	reg := metrics.NewRegistry()
+	eng := engine.New(engine.Options{Workers: 1, Registry: reg})
+	// The engine runs no job, so its shutdown has nothing to fail on.
+	defer func() { _ = eng.Shutdown(context.Background()) }()
+	service.New(eng, service.WithRegistry(reg), service.WithCluster(memberless{}))
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: render metrics: %v\n", err)
+		os.Exit(1)
+	}
+	families, histograms = map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(exposition.String(), "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) >= 3 && f[0] == "#" && f[1] == "HELP":
+			families[f[2]] = true
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && f[3] == "histogram":
+			histograms[f[2]] = true
+		}
+	}
+	return families, histograms
+}
+
+// metricNames reports every family docs/API.md leaves out and every
+// metric name a doc mentions that no family exposes.
+func metricNames(families, histograms map[string]bool, docs map[string]string) []string {
+	named := func(doc string) map[string]bool {
+		names := map[string]bool{}
+		for _, name := range metricRef.FindAllString(doc, -1) {
+			for _, suffix := range []string{"_bucket", "_count", "_sum"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && histograms[base] {
+					name = base
+				}
+			}
+			names[name] = true
+		}
+		return names
+	}
+	var failures []string
+	inAPI := named(docs["docs/API.md"])
+	for _, family := range slices.Sorted(maps.Keys(families)) {
+		if !inAPI[family] {
+			failures = append(failures,
+				fmt.Sprintf("docs/API.md: missing metric family `%s`", family))
+		}
+	}
+	for _, doc := range slices.Sorted(maps.Keys(docs)) {
+		for _, name := range slices.Sorted(maps.Keys(named(docs[doc]))) {
+			if !families[name] {
+				failures = append(failures,
+					fmt.Sprintf("%s: names metric `%s`, which /metrics does not expose", doc, name))
+			}
+		}
+	}
+	return failures
+}
+
 var (
-	cmdRef = regexp.MustCompile(`\bcmd/([A-Za-z0-9_-]+)`)
-	mdRef  = regexp.MustCompile(`((?:[A-Za-z0-9_.-]+/)*)\b([A-Z][A-Z0-9_]*\.md)\b`)
+	metricRef = regexp.MustCompile(`\b(?:cobrad|graphstore)_[a-z0-9_]*[a-z0-9]`)
+	cmdRef    = regexp.MustCompile(`\bcmd/([A-Za-z0-9_-]+)`)
+	mdRef     = regexp.MustCompile(`((?:[A-Za-z0-9_.-]+/)*)\b([A-Z][A-Z0-9_]*\.md)\b`)
 )
 
 // staleNames reports, one line per mention, every cmd/<name> directory
